@@ -495,16 +495,6 @@ StatusOr<std::unique_ptr<Db>> Db::Open(const DbOptions& dbopts,
     db->maintenance_ = std::thread(&Db::MaintenanceLoop, db.get());
   }
   if (dbopts.background_compaction) {
-    if (dbopts.compaction_rate_limit_blocks_per_sec > 0) {
-      const uint64_t burst =
-          dbopts.compaction_rate_burst_blocks > 0
-              ? dbopts.compaction_rate_burst_blocks
-              : std::max<uint64_t>(
-                    64, dbopts.compaction_rate_limit_blocks_per_sec / 8);
-      db->merge_rate_limiter_ = std::make_unique<RateLimiter>(
-          dbopts.compaction_rate_limit_blocks_per_sec, burst);
-      db->tree_->set_merge_rate_limiter(db->merge_rate_limiter_.get());
-    }
     db->compaction_pool_.reserve(dbopts.compaction_workers);
     for (size_t i = 0; i < dbopts.compaction_workers; ++i) {
       db->compaction_pool_.emplace_back(&Db::CompactionLoop, db.get());
@@ -901,9 +891,15 @@ Status Db::MaybeSealOrStallLocked(std::unique_lock<std::mutex>& lk) {
   }
   // Between the checks above and the seal below the queue can only have
   // shrunk: writers are serialized by db_mu_ and the worker only pops.
+  SealActiveMemtableLocked();
+  return Status::OK();
+}
+
+bool Db::SealActiveMemtableLocked() {
   {
     std::unique_lock<SharedMutex> mlk(mem_mu_);
     const uint64_t sealed_n = tree_->active_memtable_records();
+    if (sealed_n == 0) return false;
     tree_->SealMemtable();
     mem_sealed_records_.fetch_add(sealed_n, std::memory_order_relaxed);
     mem_active_records_.store(0, std::memory_order_relaxed);
@@ -916,12 +912,11 @@ Status Db::MaybeSealOrStallLocked(std::unique_lock<std::mutex>& lk) {
     ++memtables_sealed_;
     compaction_scheduled_ = true;
   }
-  // notify_all, not notify_one: comp_cv_ carries two kinds of waiters —
-  // idle workers waiting for work AND pacing workers waiting out rate-
-  // limiter debt (which a deepening queue must interrupt, see
-  // PaceMergeRate). A single notify could be swallowed by the wrong kind.
+  // Every idle worker rechecks the kick; any that start a drain alongside
+  // the first take only the steps they can claim in level_claims_, and
+  // go back to sleep on kNone.
   comp_cv_.notify_all();
-  return Status::OK();
+  return true;
 }
 
 void Db::CompactionLoop() {
@@ -1048,32 +1043,6 @@ Status Db::RunOneCompactionStep(LsmTree::CompactStep* step, bool* popped) {
   return Status::OK();
 }
 
-void Db::PaceMergeRate() {
-  if (merge_rate_limiter_ == nullptr) return;
-  const std::chrono::microseconds delay = merge_rate_limiter_->DelayNeeded();
-  if (delay.count() <= 0) return;
-  // Cap each pause so a worker re-evaluates the world (new work, shutdown)
-  // at least every 100ms even under a huge debt.
-  const auto capped = std::min(delay, std::chrono::microseconds(100000));
-  using Clock = std::chrono::steady_clock;
-  const auto t0 = Clock::now();
-  std::unique_lock<std::mutex> clk(comp_mu_);
-  // Fairness: merges yield pacing to flushes when the sealed queue is deep
-  // — a paused worker must not hold writers at the stall wall just to
-  // honor a rate limit. Sealing notifies comp_cv_, which interrupts the
-  // wait the moment the queue deepens.
-  const size_t fairness_depth =
-      std::max<size_t>(1, dbopts_.compaction_slowdown_depth);
-  if (sealed_queued_ >= fairness_depth) return;
-  comp_cv_.wait_for(clk, capped, [&] {
-    return stop_compaction_ || sealed_queued_ >= fairness_depth;
-  });
-  ++rate_pauses_;
-  rate_pause_micros_ += static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0)
-          .count());
-}
-
 void Db::RunCompactionSteps() {
   using Clock = std::chrono::steady_clock;
   {
@@ -1111,10 +1080,6 @@ void Db::RunCompactionSteps() {
       break;
     }
     if (step == LsmTree::CompactStep::kNone) break;
-    // Pay off rate-limiter debt *between* steps, off every lock: the loop
-    // re-scans for work afterwards, so claimed-but-unfinished work never
-    // leaks — a worker exits only after seeing kNone for itself.
-    if (step == LsmTree::CompactStep::kMerge) PaceMergeRate();
   }
   {
     std::lock_guard<std::mutex> clk(comp_mu_);
@@ -1816,8 +1781,6 @@ DbStats Db::Stats() const {
     s.throttle_micros = throttle_micros_;
     s.stall_events = stall_events_;
     s.stall_micros = stall_micros_;
-    s.compaction_rate_pauses = rate_pauses_;
-    s.compaction_rate_pause_micros = rate_pause_micros_;
     s.stall_latency = stall_hist_;
   }
   return s;
@@ -1865,10 +1828,7 @@ std::string DbStats::ToString() const {
          " throttle_events=" + std::to_string(throttle_events) +
          " throttle_micros=" + std::to_string(throttle_micros) +
          " stall_events=" + std::to_string(stall_events) +
-         " stall_micros=" + std::to_string(stall_micros) +
-         " rate_pauses=" + std::to_string(compaction_rate_pauses) +
-         " rate_pause_micros=" + std::to_string(compaction_rate_pause_micros) +
-         "\n";
+         " stall_micros=" + std::to_string(stall_micros) + "\n";
   out += "stall_latency_us: " + stall_latency.ToString() + "\n";
   return out;
 }

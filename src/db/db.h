@@ -26,7 +26,6 @@
 #include "src/storage/vlog_file.h"
 #include "src/storage/io_stats.h"
 #include "src/util/histogram.h"
-#include "src/util/rate_limiter.h"
 #include "src/util/shared_mutex.h"
 #include "src/util/status.h"
 #include "src/util/statusor.h"
@@ -138,21 +137,6 @@ struct DbOptions {
   /// long merge, and no two workers ever write the same level.
   size_t compaction_workers = 1;
 
-  /// Token-bucket cap on the aggregate background merge write rate, in
-  /// data blocks per second; 0 = unpaced (previous behavior). Merge steps
-  /// charge the bucket as they write and the worker sleeps off any debt
-  /// *between* steps with no locks held, smoothing merge I/O over time
-  /// instead of emitting it in bursts (the write-latency-variance
-  /// pathology of unthrottled compaction; see DESIGN.md). Fairness: the
-  /// pacing pause is skipped while the sealed queue is at or past
-  /// compaction_slowdown_depth — when writers are already being
-  /// throttled, merges run at full speed to drain the backlog.
-  uint64_t compaction_rate_limit_blocks_per_sec = 0;
-
-  /// Bucket capacity for the rate limiter, in blocks; bounds how large a
-  /// burst an idle period can buy. 0 = auto (max(64, limit/8)).
-  uint64_t compaction_rate_burst_blocks = 0;
-
   /// Soft backpressure: while the queue holds at least this many sealed
   /// memtables, every modification sleeps compaction_slowdown_micros
   /// before committing, slowing writers so the worker can catch up
@@ -229,10 +213,6 @@ struct DbStats {
   uint64_t throttle_micros = 0;
   uint64_t stall_events = 0;         ///< Ops that hit the hard queue-full stall.
   uint64_t stall_micros = 0;
-  /// Pacing pauses the rate limiter imposed on merge workers (zero when
-  /// compaction_rate_limit_blocks_per_sec is 0).
-  uint64_t compaction_rate_pauses = 0;
-  uint64_t compaction_rate_pause_micros = 0;
   /// Per-op hard-stall wait times in microseconds (only stalled ops are
   /// recorded; an empty histogram means no writer ever hit the wall). For
   /// a sharded Db this is the *merge* of every shard's histogram
@@ -536,6 +516,12 @@ class Db {
   /// sticky error (without applying the op) when compaction is wedged.
   Status MaybeSealOrStallLocked(std::unique_lock<std::mutex>& lk);
 
+  /// Seals the active memtable onto the compaction queue: publishes the
+  /// memory accounting, bumps the queue depth and seal count, and kicks
+  /// the workers. Requires db_mu_ (writers are excluded). Returns false,
+  /// and does nothing, when the active memtable is empty.
+  bool SealActiveMemtableLocked();
+
   /// Worker: drains the pipeline one step at a time until there is no
   /// work, updating the comp_mu_ counters and waking stalled writers
   /// after every step. Runs WITHOUT db_mu_ (a stalled writer holds it);
@@ -560,12 +546,6 @@ class Db {
   /// nothing and returns false if any is taken. Requires comp_mu_.
   bool TryClaimLevelsLocked(size_t lo, size_t hi);
   void ReleaseLevelsLocked(size_t lo, size_t hi);
-
-  /// Pays off the rate limiter's token debt after a merge step: sleeps
-  /// (bounded, off every lock) on comp_cv_ until the debt is covered —
-  /// or returns early when the sealed queue gets deep (fairness: merges
-  /// yield their pacing to flush pressure) or the Db is stopping.
-  void PaceMergeRate();
 
   /// One background scrub batch: picks the next scrub_batch_blocks live
   /// blocks after the round-robin cursor and verifies them under the
@@ -691,7 +671,7 @@ class Db {
   //          shared.
   // comp_mu_ leaf lock (never held while acquiring any other): compaction
   //          queue depth, worker state, the per-level ownership table
-  //          (level_claims_), stall/throttle/pacing counters. Guards
+  //          (level_claims_), stall/throttle counters. Guards
   //          stall_cv_, on which stalled writers wait *while holding
   //          db_mu_* — which is why workers must not touch db_mu_
   //          between steps.
@@ -740,14 +720,7 @@ class Db {
   uint64_t throttle_micros_ = 0;
   uint64_t stall_events_ = 0;
   uint64_t stall_micros_ = 0;
-  uint64_t rate_pauses_ = 0;        ///< Merge pacing pauses taken.
-  uint64_t rate_pause_micros_ = 0;  ///< Time merge workers spent pacing.
   LatencyHistogram stall_hist_;
-
-  /// Token bucket charged by merge block-writes (set on the tree at
-  /// Open when compaction_rate_limit_blocks_per_sec > 0), drained by
-  /// PaceMergeRate between worker steps.
-  std::unique_ptr<RateLimiter> merge_rate_limiter_;
 
   // Group-commit bookkeeping (under db_mu_). Sequence numbers count WAL
   // entries appended since open; they survive rotation (unlike the

@@ -309,7 +309,7 @@ Status LsmTree::ExecuteMerge(size_t source_level) {
   Level* target = mutable_level(target_index);
   const bool bottom = IsBottomLevel(target_index);
   MergeExecutor executor(options_, device_, target, bottom,
-                         options_.preserve_blocks, merge_rate_limiter_);
+                         options_.preserve_blocks);
 
   MergeSource source;
   // L0 input is *copied* out of the memtable and erased only after the

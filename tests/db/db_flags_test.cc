@@ -100,6 +100,18 @@ TEST(CheckKnownFlagsTest, CatchesTypos) {
   EXPECT_NE(bad.message().find("shrads"), std::string::npos);
 }
 
+TEST(CheckKnownFlagsTest, MergeRateLimitFlagIsUnknown) {
+  // There is no merge rate limiter: the flag must fail loudly rather than
+  // be accepted and silently ignored.
+  std::vector<std::string_view> known;
+  AppendDbFlagNames(&known);
+  const Status bad =
+      CheckKnownFlags(MustParse({"--compaction-rate-limit=5000"}), known);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.IsInvalidArgument());
+  EXPECT_NE(bad.message().find("compaction-rate-limit"), std::string::npos);
+}
+
 class DbOptionsFromFlagsTest : public ::testing::Test {
  protected:
   StatusOr<DbOptions> Build(std::vector<std::string> args) {
@@ -119,7 +131,6 @@ TEST_F(DbOptionsFromFlagsTest, DefaultsAreServingDefaults) {
   EXPECT_EQ(o.checkpoint_wal_bytes, 8u * 1024 * 1024);
   EXPECT_FALSE(o.background_compaction);
   EXPECT_EQ(o.compaction_workers, 1u);
-  EXPECT_EQ(o.compaction_rate_limit_blocks_per_sec, 0u);
   EXPECT_EQ(o.shards, 1u);
   EXPECT_EQ(o.scrub_interval_ms, 0u);
   EXPECT_EQ(o.max_device_blocks, 0u);
@@ -134,8 +145,7 @@ TEST_F(DbOptionsFromFlagsTest, AllFlagsReachTheirFields) {
   auto dbopts_or = Build({"--policy=TestMixed", "--bloom=10",
                           "--cache-blocks=32", "--sync=always",
                           "--checkpoint-wal-mb=2", "--background-compaction",
-                          "--compaction-workers=3",
-                          "--compaction-rate-limit=5000", "--shards=4",
+                          "--compaction-workers=3", "--shards=4",
                           "--scrub-interval-ms=50", "--max-device-blocks=999",
                           "--vlog-threshold=128", "--vlog-gc-ratio=0.4"});
   ASSERT_TRUE(dbopts_or.ok()) << dbopts_or.status().message();
@@ -147,7 +157,6 @@ TEST_F(DbOptionsFromFlagsTest, AllFlagsReachTheirFields) {
   EXPECT_EQ(o.checkpoint_wal_bytes, 2u * 1024 * 1024);
   EXPECT_TRUE(o.background_compaction);
   EXPECT_EQ(o.compaction_workers, 3u);
-  EXPECT_EQ(o.compaction_rate_limit_blocks_per_sec, 5000u);
   EXPECT_EQ(o.shards, 4u);
   EXPECT_EQ(o.scrub_interval_ms, 50u);
   EXPECT_EQ(o.max_device_blocks, 999u);
@@ -172,7 +181,6 @@ TEST_F(DbOptionsFromFlagsTest, BadValuesAreInvalidArgumentNamingTheFlag) {
       {{"--background-compaction=maybe"}, "background-compaction"},
       {{"--compaction-workers=0"}, "compaction-workers"},
       {{"--compaction-workers=many"}, "compaction-workers"},
-      {{"--compaction-rate-limit=fast"}, "compaction-rate-limit"},
       {{"--vlog-threshold=8"}, "vlog-threshold"},    // <= pointer size.
       {{"--vlog-threshold=16"}, "vlog-threshold"},   // == pointer size.
       {{"--vlog-threshold=lots"}, "vlog-threshold"},

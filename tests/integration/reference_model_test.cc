@@ -21,6 +21,9 @@ using testing::TreeFixture;
 struct Case {
   PolicyKind kind;
   bool preserve;
+  // gtest prints the raw bytes of each param into the registered test name;
+  // zeroed explicit padding keeps those names identical across builds.
+  char padding[3] = {};
 };
 
 std::string CaseName(const ::testing::TestParamInfo<Case>& info) {
