@@ -22,9 +22,9 @@
 // `lsmssd_cli serve` (the CI smoke job does this under ASan/UBSan).
 //
 // Results land on stdout (table) and in BENCH_server_ycsb.json:
-// per-workload per-opcode p50/p95/p99 plus a windowed latency-over-time
-// series (250 ms windows) showing how checkpoint and compaction
-// activity moves the tail.
+// host_cpus and the source commit, then per-workload per-opcode
+// p50/p95/p99 plus a windowed latency-over-time series (250 ms windows)
+// showing how checkpoint and compaction activity moves the tail.
 //
 //   --workloads=abcef  --records=N  --ops=N  --threads=T
 //   --soak-seconds=S (0 skips the soak window)  --shards=N
@@ -67,6 +67,31 @@ double Scale() {
   if (scale == nullptr) return 1.0;
   const double v = std::atof(scale);
   return v > 0 ? v : 1.0;
+}
+
+/// The git commit of the source tree this binary was built from, with
+/// "-dirty" when tracked files differ from it; "unknown" when that tree
+/// is not a git checkout of its own.
+std::string SourceCommit() {
+  const std::filesystem::path src(LSMSSD_SOURCE_DIR);
+  const std::string cmd =
+      "cd '" + src.string() + "' && GIT_CEILING_DIRECTORIES='" +
+      src.parent_path().string() +
+      "' git rev-parse HEAD 2>/dev/null && "
+      "{ git diff --quiet HEAD 2>/dev/null || echo dirty; }";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return "unknown";
+  std::string hash;
+  std::string dirty;
+  char line[128];
+  if (std::fgets(line, sizeof(line), pipe) != nullptr) hash = line;
+  if (std::fgets(line, sizeof(line), pipe) != nullptr) dirty = line;
+  pclose(pipe);
+  while (!hash.empty() && (hash.back() == '\n' || hash.back() == ' ')) {
+    hash.pop_back();
+  }
+  if (hash.size() != 40) return "unknown";
+  return dirty.empty() ? hash : hash + "-dirty";
 }
 
 struct PhaseResult {
@@ -465,12 +490,15 @@ int Main(int argc, char** argv) {
 
   std::string json = "{\n  \"bench\": \"server_ycsb\",\n";
   {
-    char buf[256];
+    char buf[512];
     std::snprintf(buf, sizeof(buf),
+                  "  \"host_cpus\": %u,\n  \"commit\": \"%s\",\n"
                   "  \"scale\": %g,\n  \"threads\": %zu,\n"
                   "  \"records\": %llu,\n  \"ops_per_workload\": %llu,\n"
                   "  \"window_ms\": %llu,\n  \"load_seconds\": %.3f,\n",
-                  scale, threads, static_cast<unsigned long long>(records),
+                  std::thread::hardware_concurrency(),
+                  SourceCommit().c_str(), scale, threads,
+                  static_cast<unsigned long long>(records),
                   static_cast<unsigned long long>(ops),
                   static_cast<unsigned long long>(kWindowMs), load_seconds);
     json += buf;

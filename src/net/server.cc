@@ -18,15 +18,18 @@
 namespace lsmssd::net {
 
 namespace {
+/// Replies of one batch are sent once this many bytes have accumulated.
+constexpr size_t kReplyChunkBytes = 64 * 1024;
+
 Status ErrnoStatus(const std::string& what, int err) {
   return Status::IoError(what + ": " + std::strerror(err));
 }
 }  // namespace
 
-/// Per-connection state. The socket, epoll interest, input buffer, and
-/// lifecycle flags belong to the epoll thread alone; `mu` guards only
-/// the state that crosses the worker boundary (pending requests, the
-/// busy flag, and buffered output).
+/// Per-connection state. The epoll interest, the input buffer, and the
+/// lifecycle flags belong to the thread holding the I/O role; `mu` guards
+/// what an executing thread also touches (pending requests, the busy
+/// flag, buffered output, and the send side of the socket).
 struct Server::Connection {
   int fd = -1;
   bool dead = false;           ///< Closed and deregistered.
@@ -47,11 +50,40 @@ struct Server::Connection {
     Kind kind = Kind::kExecute;
   };
 
+  enum class SendResult { kDrained, kBlocked, kBroken };
+
+  /// Sends buffered output until it is gone or the socket would block.
+  /// Caller holds `mu`, and `aborted` is false (the fd is open).
+  SendResult SendLocked() {
+    while (out_off < outbuf.size()) {
+      const ssize_t n = send(fd, outbuf.data() + out_off,
+                             outbuf.size() - out_off,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) {
+          return SendResult::kBlocked;
+        }
+        return SendResult::kBroken;
+      }
+      out_off += static_cast<size_t>(n);
+    }
+    outbuf.clear();
+    out_off = 0;
+    return SendResult::kDrained;
+  }
+
   std::mutex mu;
-  std::deque<WorkItem> pending;  ///< Decoded requests awaiting a worker.
-  bool busy = false;           ///< A worker owns the pending queue.
-  bool aborted = false;        ///< mu-side mirror of `dead`: the peer is
-                               ///< gone; workers skip the queued Db work.
+  std::deque<WorkItem> pending;  ///< Decoded requests awaiting execution.
+  bool busy = false;           ///< A thread owns the pending queue.
+  bool aborted = false;        ///< mu-side mirror of `dead`, set before the
+                               ///< fd is closed: the peer is gone; skip the
+                               ///< queued Db work and send nothing.
+  /// Set by the I/O side while it has an interest in this connection's
+  /// output: closing, peer EOF, reading paused, or EPOLLOUT armed. Then
+  /// the executing thread leaves replies (and its final idle check) to
+  /// the I/O role's TryFlush instead of sending them itself.
+  bool via_io = false;
   std::string outbuf;          ///< Encoded responses awaiting the socket.
   size_t out_off = 0;
 };
@@ -65,10 +97,11 @@ StatusOr<std::unique_ptr<Server>> Server::Start(const ServerOptions& opts,
   auto server = std::unique_ptr<Server>(new Server(opts, db));
   LSMSSD_RETURN_IF_ERROR(server->Listen());
   server->started_ = true;
-  server->epoll_thread_ = std::thread([s = server.get()] { s->EpollLoop(); });
-  server->workers_.reserve(opts.workers);
-  for (size_t i = 0; i < opts.workers; ++i) {
-    server->workers_.emplace_back([s = server.get()] { s->WorkerLoop(); });
+  // One thread more than may execute at once, so a thread is always free
+  // to hold the I/O role.
+  server->threads_.reserve(opts.workers + 1);
+  for (size_t i = 0; i <= opts.workers; ++i) {
+    server->threads_.emplace_back([s = server.get()] { s->ServeLoop(); });
   }
   return server;
 }
@@ -131,10 +164,18 @@ void Server::Stop() {
   work_cv_.notify_all();
   uint64_t one = 1;
   [[maybe_unused]] ssize_t n = write(wake_fd_, &one, sizeof(one));
-  if (epoll_thread_.joinable()) epoll_thread_.join();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
+  for (std::thread& t : threads_) {
+    if (t.joinable()) t.join();
   }
+  // Every thread has joined, so nothing else can touch a connection now.
+  for (auto& [fd, conn] : conns_) {
+    close(fd);
+    live_conns_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  conns_.clear();
+  ready_.clear();
+  work_q_.clear();
+  flush_q_.clear();
   if (listen_fd_ >= 0) close(listen_fd_), listen_fd_ = -1;
   if (epoll_fd_ >= 0) close(epoll_fd_), epoll_fd_ = -1;
   if (wake_fd_ >= 0) close(wake_fd_), wake_fd_ = -1;
@@ -146,8 +187,8 @@ bool Server::Drain(int deadline_ms) {
     return true;
   }
   draining_.store(true, std::memory_order_release);
-  // Wake the epoll thread: it closes the listener, marks every
-  // connection closing, and flushes — all fd work stays on its thread.
+  // Wake the I/O role: it closes the listener, marks every connection
+  // closing, and flushes — all fd work stays with that role.
   uint64_t one = 1;
   [[maybe_unused]] ssize_t n = write(wake_fd_, &one, sizeof(one));
   const auto deadline =
@@ -179,75 +220,115 @@ ServerCounters Server::counters() const {
   return c;
 }
 
-// ---- Epoll thread ---------------------------------------------------------
+// ---- Thread pool ----------------------------------------------------------
 
-void Server::EpollLoop() {
-  std::vector<epoll_event> events(128);
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int n =
-        epoll_wait(epoll_fd_, events.data(),
-                   static_cast<int>(events.size()), -1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;  // epoll itself broke; shut the loop down.
-    }
-    if (draining_.load(std::memory_order_acquire) && !drain_begun_) {
-      // Drain housekeeping, once: retire the listener (no new
-      // connections) and put every live connection on the
-      // close-when-idle path. Frames already buffered or still arriving
-      // are answered (executed or kShuttingDown) before the close.
-      drain_begun_ = true;
-      if (listen_fd_ >= 0) {
-        epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-        close(listen_fd_);
-        listen_fd_ = -1;
-      }
-      std::vector<std::shared_ptr<Connection>> live;
-      live.reserve(conns_.size());
-      for (const auto& [fd, conn] : conns_) live.push_back(conn);
-      for (const auto& conn : live) {
-        if (conn->dead) continue;
-        conn->closing = true;
-        TryFlush(conn);  // Closes immediately when already idle.
-      }
-    }
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      const uint32_t ev = events[i].events;
-      if (fd == listen_fd_) {
-        AcceptNew();
-        continue;
-      }
-      if (fd == wake_fd_) {
-        uint64_t drain = 0;
-        while (read(wake_fd_, &drain, sizeof(drain)) > 0) {
+void Server::ServeLoop() {
+  std::unique_lock<std::mutex> lk(work_mu_);
+  while (true) {
+    work_cv_.wait(lk, [this] {
+      return stopping_.load(std::memory_order_relaxed) || !leader_active_ ||
+             (!work_q_.empty() && executing_ < opts_.workers);
+    });
+    if (stopping_.load(std::memory_order_relaxed)) return;
+    std::shared_ptr<Connection> conn;
+    bool handed_off = false;
+    if (!work_q_.empty() && executing_ < opts_.workers) {
+      conn = std::move(work_q_.front());
+      work_q_.pop_front();
+    } else {
+      // Take the I/O role and hold it until an event batch leaves a
+      // connection this thread may execute.
+      leader_active_ = true;
+      while (conn == nullptr) {
+        lk.unlock();
+        const bool polled = PollOnce();
+        lk.lock();
+        if (!polled || stopping_.load(std::memory_order_relaxed)) return;
+        if (ready_.empty()) continue;
+        size_t first = 0;
+        if (executing_ < opts_.workers) conn = std::move(ready_[first++]);
+        for (size_t i = first; i < ready_.size(); ++i) {
+          work_q_.push_back(std::move(ready_[i]));
         }
-        DrainFlushQueue();
-        continue;
+        ready_.clear();
       }
-      auto it = conns_.find(fd);
-      if (it == conns_.end()) continue;  // Closed earlier this batch.
-      std::shared_ptr<Connection> conn = it->second;
-      if ((ev & (EPOLLHUP | EPOLLERR)) != 0) {
-        CloseConn(conn);
-        continue;
+      leader_active_ = false;
+      handed_off = true;
+    }
+    ++executing_;
+    const bool wake_all = !work_q_.empty();
+    lk.unlock();
+    if (handed_off) {
+      // Pass the I/O role on (and any queued connections); the request
+      // this thread is about to run does not wait for the wake-up.
+      if (wake_all) {
+        work_cv_.notify_all();
+      } else {
+        work_cv_.notify_one();
       }
-      if ((ev & EPOLLIN) != 0) HandleReadable(conn);
-      if (!conn->dead && (ev & EPOLLOUT) != 0) TryFlush(conn);
     }
+    RunConnection(conn);
+    conn.reset();
+    lk.lock();
+    --executing_;
   }
-  // Shutdown: close every connection. Workers may still hold references;
-  // they only touch mu-guarded fields, never the fd.
-  for (auto& [fd, conn] : conns_) {
-    conn->dead = true;
-    {
-      std::lock_guard<std::mutex> l(conn->mu);
-      conn->aborted = true;
+}
+
+bool Server::PollOnce() {
+  epoll_event events[128];
+  const int n = epoll_wait(epoll_fd_, events, 128, -1);
+  if (n < 0) return errno == EINTR;  // Any other error: epoll itself broke.
+  if (draining_.load(std::memory_order_acquire) && !drain_begun_) {
+    BeginDrain();
+  }
+  for (int i = 0; i < n; ++i) {
+    const int fd = events[i].data.fd;
+    const uint32_t ev = events[i].events;
+    if (fd == listen_fd_) {
+      AcceptNew();
+      continue;
     }
-    close(fd);
-    live_conns_.fetch_sub(1, std::memory_order_relaxed);
+    if (fd == wake_fd_) {
+      uint64_t drain = 0;
+      while (read(wake_fd_, &drain, sizeof(drain)) > 0) {
+      }
+      DrainFlushQueue();
+      continue;
+    }
+    auto it = conns_.find(fd);
+    if (it == conns_.end()) continue;  // Closed earlier this batch.
+    std::shared_ptr<Connection> conn = it->second;
+    if ((ev & (EPOLLHUP | EPOLLERR)) != 0) {
+      CloseConn(conn);
+      continue;
+    }
+    if ((ev & EPOLLIN) != 0) HandleReadable(conn);
+    if (!conn->dead && (ev & EPOLLOUT) != 0) TryFlush(conn);
   }
-  conns_.clear();
+  return true;
+}
+
+void Server::BeginDrain() {
+  // Drain housekeeping, once: retire the listener (no new connections),
+  // take in the frames each socket already holds (they reached the server
+  // before the drain began, so they execute), then put every live
+  // connection on the close-when-idle path. Frames arriving from here on
+  // are answered kShuttingDown before the close.
+  if (listen_fd_ >= 0) {
+    epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+    close(listen_fd_);
+    listen_fd_ = -1;
+  }
+  std::vector<std::shared_ptr<Connection>> live;
+  live.reserve(conns_.size());
+  for (const auto& [fd, conn] : conns_) live.push_back(conn);
+  for (const auto& conn : live) HandleReadable(conn);
+  drain_begun_ = true;
+  for (const auto& conn : live) {
+    if (conn->dead) continue;
+    conn->closing = true;
+    TryFlush(conn);  // Closes immediately when already idle.
+  }
 }
 
 void Server::AcceptNew() {
@@ -294,7 +375,11 @@ void Server::HandleReadable(const std::shared_ptr<Connection>& conn) {
   if (conn->eof) {
     bool idle;
     {
+      // Flagged in the same critical section as the idle check: a thread
+      // still executing this connection will leave its final idle check
+      // to TryFlush, which then closes.
       std::lock_guard<std::mutex> l(conn->mu);
+      conn->via_io = true;
       idle = !conn->busy && conn->pending.empty() && conn->outbuf.empty();
     }
     if (idle) {
@@ -335,6 +420,7 @@ void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
       {
         std::lock_guard<std::mutex> l(conn->mu);
         conn->outbuf.append(reply);
+        conn->via_io = true;
       }
       conn->closing = true;
       conn->inbuf.clear();
@@ -349,7 +435,7 @@ void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
     // pipelined N frames still receives exactly N responses in order.
     using Kind = Connection::WorkItem::Kind;
     Kind kind = Kind::kExecute;
-    if (draining_.load(std::memory_order_acquire)) {
+    if (drain_begun_) {
       kind = Kind::kShedShutdown;
       frames_rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
     } else if (opts_.max_pending_frames > 0 &&
@@ -375,13 +461,16 @@ void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
         enqueue = true;
       }
       paused = conn->pending.size() >= opts_.max_pipelined_requests;
+      // Set with the push that crosses the cap: the executing thread
+      // either sees it or has already gone idle and is re-queued here.
+      if (paused) conn->via_io = true;
     }
-    if (enqueue) EnqueueWork(conn);
+    if (enqueue) ready_.push_back(conn);  // Handed out after the batch.
   }
   if (!conn->dead && pos > 0) conn->inbuf.erase(0, pos);
   if (paused && conn->epollin_armed) {
-    // Pipelining backpressure: stop reading this socket until the worker
-    // drains the queue (TryFlush re-arms and re-parses).
+    // Pipelining backpressure: stop reading this socket until the
+    // executing thread drains the queue (TryFlush re-arms and re-parses).
     conn->epollin_armed = false;
     UpdateEpollInterest(conn);
   }
@@ -389,50 +478,32 @@ void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
 
 void Server::TryFlush(const std::shared_ptr<Connection>& conn) {
   if (conn->dead) return;
-  bool blocked = false;
-  bool broken = false;
+  Connection::SendResult sent;
   bool idle = false;
   size_t backlog_bytes = 0;
   {
     std::lock_guard<std::mutex> l(conn->mu);
-    while (conn->out_off < conn->outbuf.size()) {
-      const ssize_t n =
-          send(conn->fd, conn->outbuf.data() + conn->out_off,
-               conn->outbuf.size() - conn->out_off,
-               MSG_NOSIGNAL | MSG_DONTWAIT);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          blocked = true;
-          break;
-        }
-        broken = true;
-        break;
-      }
-      conn->out_off += static_cast<size_t>(n);
-    }
-    if (conn->out_off == conn->outbuf.size()) {
-      conn->outbuf.clear();
-      conn->out_off = 0;
-    }
+    sent = conn->SendLocked();
     backlog_bytes = conn->outbuf.size() - conn->out_off;
     idle = !conn->busy && conn->pending.empty() && conn->outbuf.empty();
+    conn->via_io = sent == Connection::SendResult::kBlocked ||
+                   conn->closing || conn->eof || !conn->epollin_armed;
   }
-  if (broken) {
+  if (sent == Connection::SendResult::kBroken) {
     CloseConn(conn);
     return;
   }
   if (opts_.max_conn_backlog_bytes > 0 &&
       backlog_bytes > opts_.max_conn_backlog_bytes) {
     // Slow-client eviction: the peer pipelines requests but does not
-    // read responses; its backlog, not the worker pool, is the memory
+    // read responses; its backlog, not the thread pool, is the memory
     // it is consuming. Dropping the connection frees it — the client
     // observes a reset (Unavailable) and may reconnect with backoff.
     connections_dropped_slow_.fetch_add(1, std::memory_order_relaxed);
     CloseConn(conn);
     return;
   }
-  if (blocked) {
+  if (sent == Connection::SendResult::kBlocked) {
     if (!conn->epollout_armed) {
       conn->epollout_armed = true;
       UpdateEpollInterest(conn);
@@ -449,12 +520,13 @@ void Server::TryFlush(const std::shared_ptr<Connection>& conn) {
   }
   // Resume reading once the pipeline backlog has drained.
   if (!conn->epollin_armed && !conn->closing && !conn->eof) {
-    size_t backlog;
+    bool resume;
     {
       std::lock_guard<std::mutex> l(conn->mu);
-      backlog = conn->pending.size();
+      resume = conn->pending.size() < opts_.max_pipelined_requests / 2 + 1;
+      if (resume) conn->via_io = false;
     }
-    if (backlog < opts_.max_pipelined_requests / 2 + 1) {
+    if (resume) {
       conn->epollin_armed = true;
       UpdateEpollInterest(conn);
       ParseFrames(conn);  // Frames may already be buffered past the pause.
@@ -495,15 +567,7 @@ void Server::DrainFlushQueue() {
   }
 }
 
-// ---- Workers --------------------------------------------------------------
-
-void Server::EnqueueWork(const std::shared_ptr<Connection>& conn) {
-  {
-    std::lock_guard<std::mutex> l(work_mu_);
-    work_q_.push_back(conn);
-  }
-  work_cv_.notify_one();
-}
+// ---- Executing side -------------------------------------------------------
 
 void Server::SignalFlush(const std::shared_ptr<Connection>& conn) {
   {
@@ -514,72 +578,83 @@ void Server::SignalFlush(const std::shared_ptr<Connection>& conn) {
   [[maybe_unused]] ssize_t n = write(wake_fd_, &one, sizeof(one));
 }
 
-void Server::WorkerLoop() {
+void Server::RunConnection(const std::shared_ptr<Connection>& conn) {
+  // Drain this connection until its pipeline is empty. Only one thread
+  // holds a given connection at a time (the busy flag), so requests
+  // execute — and respond — strictly in receive order.
+  bool final_check = false;
   while (true) {
-    std::shared_ptr<Connection> conn;
+    std::deque<Connection::WorkItem> batch;
+    bool skip = false;
     {
-      std::unique_lock<std::mutex> lk(work_mu_);
-      work_cv_.wait(lk, [this] {
-        return stopping_.load(std::memory_order_acquire) || !work_q_.empty();
-      });
-      if (work_q_.empty()) return;  // stopping_ and nothing left.
-      conn = std::move(work_q_.front());
-      work_q_.pop_front();
+      std::lock_guard<std::mutex> l(conn->mu);
+      if (conn->pending.empty()) {
+        conn->busy = false;
+        // The I/O side waits on this connection going idle (to close it
+        // or to resume reading): let TryFlush see it.
+        final_check = conn->via_io && !conn->aborted;
+        break;
+      }
+      batch.swap(conn->pending);
+      skip = conn->aborted;
     }
-    // Drain this connection until its pipeline is empty. Only one worker
-    // holds a given connection at a time (the busy flag), so requests
-    // execute — and respond — strictly in receive order.
-    while (true) {
-      std::deque<Connection::WorkItem> batch;
-      bool aborted = false;
+    int64_t executes = 0;
+    for (const Connection::WorkItem& item : batch) {
+      if (item.kind == Connection::WorkItem::Kind::kExecute) ++executes;
+    }
+    if (executes > 0) {
+      pending_frames_.fetch_sub(executes, std::memory_order_relaxed);
+    }
+    // Peer gone, or the server stopping: nobody will read the responses,
+    // so skip the Db work (and any duplicate application a retrying
+    // client would risk).
+    if (skip || stopping_.load(std::memory_order_relaxed)) continue;
+    std::string out;
+    // Hands `out` to the socket; false once the peer is gone. Send the
+    // reply from this thread unless the I/O side has an interest in the
+    // output or the socket cannot take it all now.
+    auto deliver = [&] {
+      bool needs_io = false;
       {
         std::lock_guard<std::mutex> l(conn->mu);
-        if (conn->pending.empty()) {
-          conn->busy = false;
-          break;
-        }
-        batch.swap(conn->pending);
-        aborted = conn->aborted;
-      }
-      int64_t executes = 0;
-      for (const Connection::WorkItem& item : batch) {
-        if (item.kind == Connection::WorkItem::Kind::kExecute) ++executes;
-      }
-      if (executes > 0) {
-        pending_frames_.fetch_sub(executes, std::memory_order_relaxed);
-      }
-      if (aborted) continue;  // Peer gone: nobody will read the responses,
-                              // so skip the Db work (and any duplicate
-                              // application a retrying client would risk).
-      std::string out;
-      for (const Connection::WorkItem& item : batch) {
-        const uint8_t response_op =
-            static_cast<uint8_t>(item.frame.opcode | kResponseBit);
-        switch (item.kind) {
-          case Connection::WorkItem::Kind::kExecute:
-            out.append(HandleRequest(item.frame));
-            break;
-          case Connection::WorkItem::Kind::kShedOverload:
-            out.append(EncodeFrame(
-                response_op,
-                EncodeOverloadedResponse(opts_.overload_retry_after_ms)));
-            break;
-          case Connection::WorkItem::Kind::kShedShutdown:
-            out.append(EncodeFrame(
-                response_op,
-                EncodeProtocolErrorResponse(WireError::kShuttingDown,
-                                            "server draining")));
-            break;
-        }
-      }
-      {
-        std::lock_guard<std::mutex> l(conn->mu);
+        if (conn->aborted) return false;
         conn->outbuf.append(out);
+        needs_io = conn->via_io || conn->SendLocked() !=
+                                       Connection::SendResult::kDrained;
       }
-      SignalFlush(conn);
+      out.clear();
+      if (needs_io) SignalFlush(conn);
+      return true;
+    };
+    for (const Connection::WorkItem& item : batch) {
+      // Stop() waits for this thread: leave the rest of a long pipelined
+      // batch unexecuted.
+      if (stopping_.load(std::memory_order_relaxed)) break;
+      const uint8_t response_op =
+          static_cast<uint8_t>(item.frame.opcode | kResponseBit);
+      switch (item.kind) {
+        case Connection::WorkItem::Kind::kExecute:
+          out.append(HandleRequest(item.frame));
+          break;
+        case Connection::WorkItem::Kind::kShedOverload:
+          out.append(EncodeFrame(
+              response_op,
+              EncodeOverloadedResponse(opts_.overload_retry_after_ms)));
+          break;
+        case Connection::WorkItem::Kind::kShedShutdown:
+          out.append(EncodeFrame(
+              response_op,
+              EncodeProtocolErrorResponse(WireError::kShuttingDown,
+                                          "server draining")));
+          break;
+      }
+      // Large replies leave as they are made, so the first reply of a
+      // long batch does not wait for the last request to execute.
+      if (out.size() >= kReplyChunkBytes && !deliver()) break;
     }
-    SignalFlush(conn);  // Final idle/close check for this connection.
+    if (!out.empty()) deliver();
   }
+  if (final_check) SignalFlush(conn);
 }
 
 std::string Server::HandleRequest(const Frame& frame) {

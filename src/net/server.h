@@ -24,18 +24,19 @@ namespace lsmssd::net {
 struct ServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  ///< 0 = pick an ephemeral port (see Server::port()).
-  /// Worker threads executing decoded requests against the Db. Workers on
-  /// different connections commit concurrently, so their WAL syncs batch
-  /// through the Db's existing cross-thread group commit — the server
-  /// adds no commit path of its own.
+  /// How many decoded requests execute against the Db at once. The server
+  /// runs workers + 1 threads, so one is always free to take the I/O role
+  /// (see Server). Requests on different connections commit concurrently,
+  /// so their WAL syncs batch through the Db's existing cross-thread group
+  /// commit — the server adds no commit path of its own.
   size_t workers = 4;
   size_t max_frame_payload_bytes = kDefaultMaxPayloadBytes;
   /// Hard cap on one SCAN response (requests asking for more are
   /// truncated to this many items).
   uint32_t max_scan_results = 65536;
   /// Per-connection cap on decoded-but-unexecuted pipelined requests;
-  /// past it the server stops reading that socket until the worker
-  /// drains below (TCP backpressure, bounded memory).
+  /// past it the server stops reading that socket until the executing
+  /// thread drains below (TCP backpressure, bounded memory).
   size_t max_pipelined_requests = 1024;
   /// Pool-wide cap on decoded-but-unexecuted requests across all
   /// connections. Past it the server *sheds*: each excess request is
@@ -52,8 +53,9 @@ struct ServerOptions {
   /// pipeline requests but never read responses. 0 disables.
   size_t max_conn_backlog_bytes = 8u << 20;
   int listen_backlog = 128;
-  /// Test seam: when set, workers call this once per executed request,
-  /// before touching the Db. Lets tests hold the pool busy at a barrier.
+  /// Test seam: when set, the executing thread calls this once per executed
+  /// request, before touching the Db. Lets tests hold the pool busy at a
+  /// barrier.
   std::function<void()> worker_hook_for_testing;
 };
 
@@ -71,13 +73,36 @@ struct ServerCounters {
 
 /// Pipelined binary-protocol server over one Db.
 ///
-/// Architecture: one epoll thread owns every socket (accept, read, frame
-/// decode, response flush); a pool of worker threads executes decoded
-/// requests against the Db and hands encoded responses back for the
-/// epoll thread to write. A connection's requests execute strictly in
-/// receive order (one worker per connection at a time), so clients may
-/// pipeline freely; different connections execute concurrently, which is
-/// what batches their writes into one group-commit fsync.
+/// Architecture: a leader/follower pool of `workers + 1` identical
+/// threads. At most one thread at a time holds the *I/O role*: it blocks
+/// in epoll_wait and does all socket-state work — accept, recv, frame
+/// decode, admission and shedding, drain housekeeping, EPOLLOUT flushes,
+/// slow-client eviction and close. The role passes between threads under
+/// `work_mu_`, so the connection table, each input buffer and the epoll
+/// flags have exactly one owner at any moment. When an event batch leaves
+/// connections with requests to run and fewer than `workers` threads are
+/// executing, the leader keeps one connection for itself, hands the I/O
+/// role to an idle thread, and executes that connection's requests; any
+/// other runnable connections queue for the remaining threads. A request
+/// is thus read, executed and answered by one thread.
+///
+/// Replies: the executing thread appends to the connection's output
+/// buffer and sends it itself, under the connection's mutex, with
+/// MSG_DONTWAIT — at the end of each batch, or as soon as 64 KiB of a
+/// long batch's replies are ready. A connection's fd is closed only
+/// after `aborted` is set under that same mutex, so such a send never
+/// reaches a closed (or reused) descriptor. The reply goes through the
+/// I/O role instead (an eventfd wake-up, then a flush there) when the
+/// send would block or is short, and whenever the I/O side has flagged
+/// the connection: closing, peer EOF, reading paused by the pipelining
+/// cap, or EPOLLOUT armed.
+/// Slow-client eviction, the close of a draining connection and the
+/// re-arming of a paused reader all happen in that flush.
+///
+/// A connection's requests execute strictly in receive order (one thread
+/// per connection at a time), so clients may pipeline freely; different
+/// connections execute concurrently, which is what batches their writes
+/// into one group-commit fsync.
 ///
 /// Protocol errors are two-tier (see wire.h): a CRC-valid frame with an
 /// undecodable payload gets a kMalformedRequest error response; a frame
@@ -86,9 +111,9 @@ struct ServerCounters {
 /// itself is never poisoned by anything a client sends.
 class Server {
  public:
-  /// Binds and listens on opts.host:opts.port, then starts the epoll and
-  /// worker threads. `db` must outlive the server and be open; the
-  /// server never Close()s it.
+  /// Binds and listens on opts.host:opts.port, then starts the
+  /// `workers + 1` pool threads. `db` must outlive the server and be
+  /// open; the server never Close()s it.
   static StatusOr<std::unique_ptr<Server>> Start(const ServerOptions& opts,
                                                  Db* db);
   ~Server();  ///< Stop()s if still running.
@@ -99,9 +124,10 @@ class Server {
   /// The bound port (resolves port 0 at Start).
   uint16_t port() const { return port_; }
 
-  /// Abrupt shutdown: stops accepting, closes every connection, joins
-  /// all threads. In-flight requests finish against the Db; their
-  /// responses are not guaranteed to be delivered. Idempotent.
+  /// Abrupt shutdown: joins all threads, then closes the listener and
+  /// every connection. A request already executing finishes against the
+  /// Db; every other queued request is dropped unexecuted, and responses
+  /// are not guaranteed to be delivered. Idempotent.
   void Stop();
 
   /// Graceful drain (the SIGTERM path): stop accepting, answer every
@@ -122,10 +148,17 @@ class Server {
   Server(const ServerOptions& opts, Db* db) : opts_(opts), db_(db) {}
 
   Status Listen();
-  void EpollLoop();
-  void WorkerLoop();
+  /// Body of every pool thread: executes a queued connection when fewer
+  /// than `workers` threads are executing, else takes the I/O role when it
+  /// is free, else waits.
+  void ServeLoop();
+  /// I/O role: one epoll_wait and its event batch; connections it makes
+  /// runnable are collected in `ready_`. Returns false when epoll itself
+  /// broke (the caller keeps the role and leaves, as no thread can poll).
+  bool PollOnce();
 
-  // ---- Epoll-thread-only connection management ------------------------
+  // ---- I/O role only: connection management ---------------------------
+  void BeginDrain();
   void AcceptNew();
   void HandleReadable(const std::shared_ptr<Connection>& conn);
   /// Parses every complete frame in conn->inbuf, queueing work.
@@ -135,15 +168,17 @@ class Server {
   void TryFlush(const std::shared_ptr<Connection>& conn);
   void UpdateEpollInterest(const std::shared_ptr<Connection>& conn);
   void CloseConn(const std::shared_ptr<Connection>& conn);
-  /// Drains the worker->epoll flush queue (eventfd handler).
+  /// Drains the executor->I/O flush queue (eventfd handler).
   void DrainFlushQueue();
 
-  // ---- Worker side ----------------------------------------------------
-  void EnqueueWork(const std::shared_ptr<Connection>& conn);
+  // ---- Executing side -------------------------------------------------
+  /// Executes `conn`'s queued requests in order until none are left,
+  /// sending each batch's replies.
+  void RunConnection(const std::shared_ptr<Connection>& conn);
   /// Executes one decoded request, returning the encoded response frame.
   std::string HandleRequest(const Frame& frame);
   std::string BuildStatsText();
-  /// Signals the epoll thread that `conn` has new output.
+  /// Asks the I/O role to flush `conn` (eventfd wake-up).
   void SignalFlush(const std::shared_ptr<Connection>& conn);
 
   ServerOptions opts_;
@@ -151,15 +186,16 @@ class Server {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;  ///< eventfd: worker output ready, or Stop().
+  int wake_fd_ = -1;  ///< eventfd: a reply needs the I/O role, or Stop().
   uint16_t port_ = 0;
 
-  std::thread epoll_thread_;
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> threads_;  ///< The workers + 1 pool threads.
   std::atomic<bool> stopping_{false};
   std::atomic<bool> draining_{false};
   bool started_ = false;
-  bool drain_begun_ = false;  ///< Epoll thread: drain housekeeping done.
+  /// I/O role: drain housekeeping done; frames parsed from now on are
+  /// answered kShuttingDown.
+  bool drain_begun_ = false;
 
   /// Decoded-but-unexecuted requests across all connections (shed markers
   /// excluded) — the quantity max_pending_frames caps.
@@ -167,12 +203,17 @@ class Server {
   /// Open connections; Drain() waits for this to reach zero.
   std::atomic<int64_t> live_conns_{0};
 
-  /// Live connections, keyed by fd. Epoll thread only.
+  /// Live connections, keyed by fd. I/O role only.
   std::unordered_map<int, std::shared_ptr<Connection>> conns_;
+  /// Connections the current event batch made runnable. I/O role only.
+  std::vector<std::shared_ptr<Connection>> ready_;
 
   std::mutex work_mu_;
   std::condition_variable work_cv_;
+  /// Runnable connections waiting for a thread (work_mu_).
   std::deque<std::shared_ptr<Connection>> work_q_;
+  bool leader_active_ = false;  ///< work_mu_: a thread holds the I/O role.
+  size_t executing_ = 0;        ///< work_mu_: threads running a connection.
 
   std::mutex flush_mu_;
   std::vector<std::shared_ptr<Connection>> flush_q_;

@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -82,9 +83,15 @@ struct ServerFixture {
 
 /// Raw loopback socket for bytes the Client refuses to send.
 struct RawConn {
-  explicit RawConn(uint16_t port) {
+  /// `rcvbuf` > 0 fixes the receive buffer (and so the TCP window) before
+  /// connecting, so kernel autotuning cannot absorb the server's replies.
+  explicit RawConn(uint16_t port, int rcvbuf = 0) {
     fd = ::socket(AF_INET, SOCK_STREAM, 0);
     LSMSSD_CHECK(fd >= 0);
+    if (rcvbuf > 0) {
+      LSMSSD_CHECK(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                                sizeof(rcvbuf)) == 0);
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -139,6 +146,52 @@ std::string HandEncodeFrame(uint8_t version, uint8_t opcode,
 
 std::string Payload(const Options& options, Key key) {
   return MakePayload(options, key);
+}
+
+/// Polls `done` every millisecond for up to 10 s; returns its last value.
+/// Lets a test wait for the server to reach a state instead of sleeping.
+bool WaitUntil(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Reads the next frame from a raw socket into *frame; *in keeps bytes
+/// received past it. False on EOF, receive timeout or a malformed frame.
+bool ReadFrame(int fd, std::string* in, Frame* frame) {
+  while (true) {
+    size_t consumed = 0;
+    std::string error;
+    const FrameDecodeResult r =
+        DecodeFrame(*in, kDefaultMaxPayloadBytes, frame, &consumed, &error);
+    if (r == FrameDecodeResult::kFrame) {
+      in->erase(0, consumed);
+      return true;
+    }
+    if (r == FrameDecodeResult::kMalformed) return false;
+    char buf[64 * 1024];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) return false;
+    in->append(buf, static_cast<size_t>(n));
+  }
+}
+
+/// Checks a full-range SCAN reply over keys 1..`seeded`.
+void ExpectFullScan(const Frame& frame, const Options& options, Key seeded,
+                    int reply) {
+  std::string_view body;
+  ASSERT_TRUE(DecodeResponseStatus(frame.payload, &body).ok()) << reply;
+  std::vector<ScanItem> items;
+  ASSERT_TRUE(DecodeScanResponseBody(body, &items)) << reply;
+  ASSERT_EQ(items.size(), static_cast<size_t>(seeded)) << reply;
+  for (Key k = 1; k <= seeded; ++k) {
+    ASSERT_EQ(items[k - 1].key, k) << "reply " << reply;
+    ASSERT_EQ(items[k - 1].value, Payload(options, k)) << "reply " << reply;
+  }
 }
 
 TEST(ServerTest, PutGetDeleteScanStatsEndToEnd) {
@@ -545,6 +598,9 @@ TEST(ServerTest, OverloadShedsInOrderInsteadOfQueueingUnbounded) {
                               EncodeGetRequest(k))
                     .ok());
   }
+  // Release only once #4 and #5 have been admitted (as sheds): released
+  // earlier, the worker could drain #2 and #3 first and admit them.
+  WaitUntil([&] { return fx.server->counters().frames_shed_overload == 2; });
   gate.Release();
 
   // Replies still arrive strictly in request order: three real answers
@@ -603,6 +659,8 @@ TEST(ServerTest, HealthProbesAdmittedWhileOverloadShedsWrites) {
                   .ok());
   ASSERT_TRUE(client->SendRaw(static_cast<uint8_t>(Opcode::kPing), "").ok());
   ASSERT_TRUE(client->SendRaw(static_cast<uint8_t>(Opcode::kStats), "").ok());
+  // Release only once PUT #4 has been admitted (as a shed).
+  WaitUntil([&] { return fx.server->counters().frames_shed_overload == 1; });
   gate.Release();
 
   // In order: three real PUT acks, the shed PUT, then the two probes —
@@ -666,6 +724,13 @@ TEST(ServerTest, DrainAnswersEveryInFlightFrameThenRejectsLateOnes) {
                               EncodeGetRequest(1))
                     .ok());
   }
+  // Release only once every late frame has been rejected at admission:
+  // released earlier, a connection could finish its burst and close
+  // before its late frame is read.
+  WaitUntil([&] {
+    return fx.server->counters().frames_rejected_shutdown ==
+           static_cast<uint64_t>(kConns);
+  });
   gate.Release();
 
   // Every accepted frame is answered before the connection closes: the
@@ -766,6 +831,228 @@ TEST(ServerTest, SlowClientIsEvictedByBacklogCapNotBufferedForever) {
   auto got = client->Get(1);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(*got, Payload(options, 1));
+}
+
+/// Records how many requests execute at once: the hook runs on the
+/// executing thread before the Db, and holds it there for `hold`.
+struct ConcurrencyProbe {
+  explicit ConcurrencyProbe(std::chrono::microseconds hold) : hold(hold) {}
+
+  std::function<void()> Hook() {
+    return [this] {
+      const int now = running.fetch_add(1) + 1;
+      int seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(hold);
+      running.fetch_sub(1);
+    };
+  }
+
+  const std::chrono::microseconds hold;
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+};
+
+/// Seeds `conns` x `per_conn` keys, then pipelines one GET per key on
+/// every connection at once before reading any reply, and checks each
+/// connection's replies arrive complete and in its own request order.
+void PipelineGetsOnEveryConnection(ServerFixture& fx, int conns,
+                                   Key per_conn) {
+  const Options& options = fx.db->options();
+  auto key_of = [](int c, Key i) { return static_cast<Key>(c) * 1000 + i; };
+  {
+    auto seeder = fx.Connect();
+    for (int c = 0; c < conns; ++c) {
+      for (Key i = 1; i <= per_conn; ++i) {
+        ASSERT_TRUE(seeder->Put(key_of(c, i), Payload(options, key_of(c, i)))
+                        .ok());
+      }
+    }
+  }
+  std::vector<std::unique_ptr<Client>> clients;
+  for (int c = 0; c < conns; ++c) clients.push_back(fx.Connect());
+  for (int c = 0; c < conns; ++c) {
+    for (Key i = 1; i <= per_conn; ++i) {
+      ASSERT_TRUE(clients[c]
+                      ->SendRaw(static_cast<uint8_t>(Opcode::kGet),
+                                EncodeGetRequest(key_of(c, i)))
+                      .ok());
+    }
+  }
+  for (int c = 0; c < conns; ++c) {
+    for (Key i = 1; i <= per_conn; ++i) {
+      Frame frame;
+      ASSERT_TRUE(clients[c]->ReceiveResponse(&frame).ok()) << c << "/" << i;
+      std::string_view body;
+      ASSERT_TRUE(DecodeResponseStatus(frame.payload, &body).ok());
+      EXPECT_EQ(body, Payload(options, key_of(c, i)))
+          << "conn " << c << " out of order at " << i;
+    }
+  }
+}
+
+TEST(ServerTest, OneWorkerExecutesOneRequestAtATime) {
+  ConcurrencyProbe probe(std::chrono::microseconds(200));
+  ServerOptions sopts;
+  sopts.workers = 1;
+  sopts.worker_hook_for_testing = probe.Hook();
+  ServerFixture fx("onewriter", TinyDbOptions(), sopts);
+  PipelineGetsOnEveryConnection(fx, /*conns=*/4, /*per_conn=*/32);
+  EXPECT_EQ(probe.peak.load(), 1);
+}
+
+TEST(ServerTest, ExecutionsNeverExceedTheWorkerCount) {
+  ConcurrencyProbe probe(std::chrono::microseconds(200));
+  ServerOptions sopts;
+  sopts.workers = 4;
+  sopts.worker_hook_for_testing = probe.Hook();
+  ServerFixture fx("fourwriters", TinyDbOptions(), sopts);
+  PipelineGetsOnEveryConnection(fx, /*conns=*/8, /*per_conn=*/32);
+  EXPECT_GE(probe.peak.load(), 1);
+  EXPECT_LE(probe.peak.load(), 4);
+}
+
+TEST(ServerTest, PipelinedScanBacklogIsFlushedInOrderNotEvicted) {
+  // The executing thread sends replies itself until the socket is full;
+  // then the I/O role takes over the backlog (EPOLLOUT) and must deliver
+  // it whole and in order once the client reads, without counting the
+  // client as slow while the backlog stays under the cap.
+  ServerFixture fx("scanbacklog");
+  const Options& options = fx.db->options();
+  constexpr Key kSeeded = 500;  // ~16 KiB per full-range scan response.
+  constexpr int kScans = 200;   // ~3.2 MiB in all, under the 8 MiB cap.
+  {
+    auto seeder = fx.Connect();
+    for (Key k = 1; k <= kSeeded; ++k) {
+      ASSERT_TRUE(seeder->Put(k, Payload(options, k)).ok());
+    }
+  }
+  // A small fixed receive window makes the server's sends hit EAGAIN
+  // early.
+  RawConn raw(fx.server->port(), /*rcvbuf=*/4096);
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ASSERT_EQ(::setsockopt(raw.fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  std::string requests;
+  for (int i = 0; i < kScans; ++i) {
+    requests += EncodeFrame(static_cast<uint8_t>(Opcode::kScan),
+                            EncodeScanRequest(1, kSeeded, 0));
+  }
+  raw.Send(requests);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  std::string in;
+  for (int i = 0; i < kScans; ++i) {
+    Frame frame;
+    ASSERT_TRUE(ReadFrame(raw.fd, &in, &frame)) << "no reply " << i;
+    ExpectFullScan(frame, options, kSeeded, i);
+  }
+  EXPECT_TRUE(in.empty());  // Nothing beyond the replies owed.
+  EXPECT_EQ(fx.server->counters().connections_dropped_slow, 0u);
+  EXPECT_EQ(fx.server->counters().frames_processed,
+            static_cast<uint64_t>(kSeeded + kScans));
+}
+
+TEST(ServerTest, LongPipelinedBatchSendsRepliesAsTheyAreMade) {
+  // A client pipelining many large requests must see the first replies
+  // while later requests of the same batch still execute, not only once
+  // the whole batch is done. The hook parks the 10th SCAN until the
+  // client has read the first reply.
+  constexpr Key kSeeded = 500;  // ~16 KiB per full-range scan response.
+  constexpr int kScans = 20;
+  std::mutex mu;
+  std::condition_variable cv;
+  uint64_t executed = 0;
+  bool released = false;
+  ServerOptions sopts;
+  sopts.worker_hook_for_testing = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (++executed != kSeeded + kScans / 2) return;
+    cv.wait(lock, [&] { return released; });
+  };
+  ServerFixture fx("streaming", TinyDbOptions(), sopts);
+  auto release = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+    cv.notify_all();
+  };
+  // Releases the hook on every exit path, before the fixture stops.
+  struct Releaser {
+    std::function<void()> fn;
+    ~Releaser() { fn(); }
+  } releaser{release};
+
+  const Options& options = fx.db->options();
+  {
+    auto seeder = fx.Connect();
+    for (Key k = 1; k <= kSeeded; ++k) {
+      ASSERT_TRUE(seeder->Put(k, Payload(options, k)).ok());
+    }
+  }
+  // All SCANs leave in one send, so the server takes them as one batch.
+  RawConn raw(fx.server->port());
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ASSERT_EQ(::setsockopt(raw.fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  std::string requests;
+  for (int i = 0; i < kScans; ++i) {
+    requests += EncodeFrame(static_cast<uint8_t>(Opcode::kScan),
+                            EncodeScanRequest(1, kSeeded, 0));
+  }
+  raw.Send(requests);
+  std::string in;
+  for (int i = 0; i < kScans; ++i) {
+    Frame frame;
+    ASSERT_TRUE(ReadFrame(raw.fd, &in, &frame)) << "no reply " << i;
+    if (i == 0) release();
+    ExpectFullScan(frame, options, kSeeded, i);
+  }
+}
+
+TEST(ServerTest, StopWithRequestsInFlightOnEveryThreadReturns) {
+  // Every executing thread is inside a request and the I/O role is in
+  // epoll_wait when Stop() arrives: it must join them all and close every
+  // connection (ASan checks nothing leaks).
+  ConcurrencyProbe probe(std::chrono::milliseconds(5));
+  ServerOptions sopts;
+  sopts.workers = 4;
+  sopts.worker_hook_for_testing = probe.Hook();
+  ServerFixture fx("stopinflight", TinyDbOptions(), sopts);
+  constexpr int kConns = 6;
+  constexpr Key kBurst = 20;
+  std::vector<std::unique_ptr<Client>> clients;
+  for (int c = 0; c < kConns; ++c) clients.push_back(fx.Connect());
+  for (int c = 0; c < kConns; ++c) {
+    for (Key i = 1; i <= kBurst; ++i) {
+      ASSERT_TRUE(clients[c]
+                      ->SendRaw(static_cast<uint8_t>(Opcode::kGet),
+                                EncodeGetRequest(i))
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(WaitUntil([&] { return probe.running.load() == 4; }));
+
+  const auto start = std::chrono::steady_clock::now();
+  fx.server->Stop();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+  EXPECT_EQ(probe.running.load(), 0);
+  // Stopped means stopped: every connection is closed, and the queued
+  // requests were dropped rather than executed.
+  for (auto& client : clients) {
+    Frame frame;
+    Status st;
+    while ((st = client->ReceiveResponse(&frame)).ok()) {
+    }
+    EXPECT_FALSE(st.IsTimedOut()) << st.ToString();
+  }
+  EXPECT_LT(fx.server->counters().frames_processed,
+            static_cast<uint64_t>(kConns * kBurst));
 }
 
 }  // namespace
