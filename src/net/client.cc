@@ -473,6 +473,8 @@ StatusOr<ServerStats> Client::Stats() {
     else if (k == "frames_shed_overload") stats.frames_shed_overload = v;
     else if (k == "frames_rejected_shutdown") stats.frames_rejected_shutdown = v;
     else if (k == "connections_dropped_slow") stats.connections_dropped_slow = v;
+    else if (k == "polls_caught_spinning") stats.polls_caught_spinning = v;
+    else if (k == "polls_parked") stats.polls_parked = v;
   }
   return stats;
 }

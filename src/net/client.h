@@ -97,6 +97,8 @@ struct ServerStats {
   uint64_t frames_shed_overload = 0;   ///< Rejected kOverloaded, unexecuted.
   uint64_t frames_rejected_shutdown = 0; ///< Rejected kShuttingDown.
   uint64_t connections_dropped_slow = 0; ///< Evicted: response backlog cap.
+  uint64_t polls_caught_spinning = 0;  ///< Event batches found polling.
+  uint64_t polls_parked = 0;           ///< Blocking epoll_wait calls.
   std::string text;                 ///< Full stats dump (human-readable).
 };
 

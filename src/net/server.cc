@@ -1,10 +1,13 @@
 #include "src/net/server.h"
 
 #include <arpa/inet.h>
+#include <linux/sockios.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -20,6 +23,22 @@ namespace lsmssd::net {
 namespace {
 /// Replies of one batch are sent once this many bytes have accumulated.
 constexpr size_t kReplyChunkBytes = 64 * 1024;
+
+/// How long a thread polls before it blocks — the I/O role on epoll, an
+/// idle thread on the I/O role: the default of KVM's halt_poll_ns, the
+/// window in which a halted vCPU is still cheap to wake.
+constexpr std::chrono::microseconds kPollWindow(200);
+
+/// Calls `ready` until it returns true or kPollWindow passes, yielding
+/// the CPU between calls to any runnable thread (compaction, executing
+/// threads, clients).
+template <typename Ready>
+void PollForWindow(Ready ready) {
+  const auto park_at = std::chrono::steady_clock::now() + kPollWindow;
+  while (!ready() && std::chrono::steady_clock::now() < park_at) {
+    sched_yield();
+  }
+}
 
 Status ErrnoStatus(const std::string& what, int err) {
   return Status::IoError(what + ": " + std::strerror(err));
@@ -67,6 +86,7 @@ struct Server::Connection {
         return SendResult::kBroken;
       }
       out_off += static_cast<size_t>(n);
+      sent_unchecked += static_cast<size_t>(n);
     }
     outbuf.clear();
     out_off = 0;
@@ -86,6 +106,8 @@ struct Server::Connection {
   bool via_io = false;
   std::string outbuf;          ///< Encoded responses awaiting the socket.
   size_t out_off = 0;
+  /// Bytes sent since the I/O role last measured the backlog (TryFlush).
+  size_t sent_unchecked = 0;
 };
 
 StatusOr<std::unique_ptr<Server>> Server::Start(const ServerOptions& opts,
@@ -217,6 +239,8 @@ ServerCounters Server::counters() const {
   c.frames_shed_overload = frames_shed_overload_.load();
   c.frames_rejected_shutdown = frames_rejected_shutdown_.load();
   c.connections_dropped_slow = connections_dropped_slow_.load();
+  c.polls_caught_spinning = polls_caught_spinning_.load();
+  c.polls_parked = polls_parked_.load();
   return c;
 }
 
@@ -224,11 +248,26 @@ ServerCounters Server::counters() const {
 
 void Server::ServeLoop() {
   std::unique_lock<std::mutex> lk(work_mu_);
+  auto runnable = [this] {
+    return stopping_.load(std::memory_order_relaxed) ||
+           !leader_active_.load(std::memory_order_relaxed) ||
+           (!work_q_.empty() && executing_ < opts_.workers);
+  };
   while (true) {
-    work_cv_.wait(lk, [this] {
-      return stopping_.load(std::memory_order_relaxed) || !leader_active_ ||
-             (!work_q_.empty() && executing_ < opts_.workers);
-    });
+    if (!runnable() && !role_watched_) {
+      // Poll before parking, for the I/O role: one idle thread watches
+      // for it for up to kPollWindow, so the leader can hand it over
+      // without waking a sleeping thread.
+      role_watched_ = true;
+      lk.unlock();
+      PollForWindow([this] {
+        return !leader_active_.load(std::memory_order_relaxed) ||
+               stopping_.load(std::memory_order_relaxed);
+      });
+      lk.lock();
+      role_watched_ = false;
+    }
+    work_cv_.wait(lk, runnable);
     if (stopping_.load(std::memory_order_relaxed)) return;
     std::shared_ptr<Connection> conn;
     bool handed_off = false;
@@ -257,13 +296,15 @@ void Server::ServeLoop() {
     }
     ++executing_;
     const bool wake_all = !work_q_.empty();
+    const bool watched = role_watched_;
     lk.unlock();
     if (handed_off) {
-      // Pass the I/O role on (and any queued connections); the request
-      // this thread is about to run does not wait for the wake-up.
+      // Pass the I/O role on (and any queued connections). A watching
+      // thread takes the role without a wake-up; it re-checks under
+      // work_mu_ before it parks, so skipping the notify loses nothing.
       if (wake_all) {
         work_cv_.notify_all();
-      } else {
+      } else if (!watched) {
         work_cv_.notify_one();
       }
     }
@@ -276,7 +317,20 @@ void Server::ServeLoop() {
 
 bool Server::PollOnce() {
   epoll_event events[128];
-  const int n = epoll_wait(epoll_fd_, events, 128, -1);
+  // Poll before parking: a request that arrives within the window is
+  // picked up by a running thread, so neither side waits for a wake-up.
+  int n = 0;
+  PollForWindow([&] {
+    n = epoll_wait(epoll_fd_, events, 128, 0);
+    return n != 0 || stopping_.load(std::memory_order_relaxed);
+  });
+  if (n > 0) {
+    polls_caught_spinning_.fetch_add(1, std::memory_order_relaxed);
+  } else if (n == 0) {
+    if (stopping_.load(std::memory_order_relaxed)) return true;
+    polls_parked_.fetch_add(1, std::memory_order_relaxed);
+    n = epoll_wait(epoll_fd_, events, 128, -1);
+  }
   if (n < 0) return errno == EINTR;  // Any other error: epoll itself broke.
   if (draining_.load(std::memory_order_acquire) && !drain_begun_) {
     BeginDrain();
@@ -484,6 +538,7 @@ void Server::TryFlush(const std::shared_ptr<Connection>& conn) {
   {
     std::lock_guard<std::mutex> l(conn->mu);
     sent = conn->SendLocked();
+    conn->sent_unchecked = 0;
     backlog_bytes = conn->outbuf.size() - conn->out_off;
     idle = !conn->busy && conn->pending.empty() && conn->outbuf.empty();
     conn->via_io = sent == Connection::SendResult::kBlocked ||
@@ -493,15 +548,22 @@ void Server::TryFlush(const std::shared_ptr<Connection>& conn) {
     CloseConn(conn);
     return;
   }
-  if (opts_.max_conn_backlog_bytes > 0 &&
-      backlog_bytes > opts_.max_conn_backlog_bytes) {
-    // Slow-client eviction: the peer pipelines requests but does not
-    // read responses; its backlog, not the thread pool, is the memory
-    // it is consuming. Dropping the connection frees it — the client
-    // observes a reset (Unavailable) and may reconnect with backoff.
-    connections_dropped_slow_.fetch_add(1, std::memory_order_relaxed);
-    CloseConn(conn);
-    return;
+  if (opts_.max_conn_backlog_bytes > 0) {
+    // The kernel's send queue counts too: it autotunes up to tcp_wmem's
+    // maximum (MiBs), all of it held for a peer that does not read.
+    int queued = 0;
+    if (ioctl(conn->fd, SIOCOUTQ, &queued) == 0 && queued > 0) {
+      backlog_bytes += static_cast<size_t>(queued);
+    }
+    if (backlog_bytes > opts_.max_conn_backlog_bytes) {
+      // Slow-client eviction: the peer pipelines requests but does not
+      // read responses; its backlog, not the thread pool, is the memory
+      // it is consuming. Dropping the connection frees it — the client
+      // observes a reset (Unavailable) and may reconnect with backoff.
+      connections_dropped_slow_.fetch_add(1, std::memory_order_relaxed);
+      CloseConn(conn);
+      return;
+    }
   }
   if (sent == Connection::SendResult::kBlocked) {
     if (!conn->epollout_armed) {
@@ -612,15 +674,19 @@ void Server::RunConnection(const std::shared_ptr<Connection>& conn) {
     std::string out;
     // Hands `out` to the socket; false once the peer is gone. Send the
     // reply from this thread unless the I/O side has an interest in the
-    // output or the socket cannot take it all now.
+    // output or the socket cannot take it all now. After every half cap
+    // of bytes sent here, the I/O role's flush re-measures the backlog:
+    // a kernel send buffer that absorbs every send still counts.
     auto deliver = [&] {
       bool needs_io = false;
       {
         std::lock_guard<std::mutex> l(conn->mu);
         if (conn->aborted) return false;
         conn->outbuf.append(out);
-        needs_io = conn->via_io || conn->SendLocked() !=
-                                       Connection::SendResult::kDrained;
+        needs_io = conn->via_io ||
+                   conn->SendLocked() != Connection::SendResult::kDrained ||
+                   (opts_.max_conn_backlog_bytes > 0 &&
+                    conn->sent_unchecked > opts_.max_conn_backlog_bytes / 2);
       }
       out.clear();
       if (needs_io) SignalFlush(conn);
@@ -768,6 +834,8 @@ std::string Server::BuildStatsText() {
   line("frames_shed_overload", frames_shed_overload_.load());
   line("frames_rejected_shutdown", frames_rejected_shutdown_.load());
   line("connections_dropped_slow", connections_dropped_slow_.load());
+  line("polls_caught_spinning", polls_caught_spinning_.load());
+  line("polls_parked", polls_parked_.load());
   t += '\n';
   t += s.ToString();
   return t;

@@ -48,9 +48,12 @@ struct ServerOptions {
   /// Retry-after hint embedded in kOverloaded responses.
   uint32_t overload_retry_after_ms = 10;
   /// Slow-client eviction: a connection whose unsent response backlog
-  /// exceeds this many bytes after a flush attempt is dropped (counted in
-  /// connections_dropped_slow). Protects server memory from clients that
-  /// pipeline requests but never read responses. 0 disables.
+  /// exceeds this many bytes after a flush attempt by the I/O role is
+  /// dropped (counted in connections_dropped_slow). The backlog is the
+  /// server's buffered output plus the bytes still queued in the socket's
+  /// kernel send buffer (SIOCOUTQ), which autotunes up to tcp_wmem's
+  /// maximum. Protects server memory from clients that pipeline requests
+  /// but never read responses. 0 disables.
   size_t max_conn_backlog_bytes = 8u << 20;
   int listen_backlog = 128;
   /// Test seam: when set, the executing thread calls this once per executed
@@ -69,12 +72,15 @@ struct ServerCounters {
   uint64_t frames_shed_overload = 0;     ///< Answered kOverloaded, unexecuted.
   uint64_t frames_rejected_shutdown = 0; ///< Answered kShuttingDown (drain).
   uint64_t connections_dropped_slow = 0; ///< Evicted over the backlog cap.
+  /// I/O role: event batches found while polling before parking.
+  uint64_t polls_caught_spinning = 0;
+  uint64_t polls_parked = 0;  ///< I/O role: blocking epoll_wait calls.
 };
 
 /// Pipelined binary-protocol server over one Db.
 ///
 /// Architecture: a leader/follower pool of `workers + 1` identical
-/// threads. At most one thread at a time holds the *I/O role*: it blocks
+/// threads. At most one thread at a time holds the *I/O role*: it waits
 /// in epoll_wait and does all socket-state work — accept, recv, frame
 /// decode, admission and shedding, drain housekeeping, EPOLLOUT flushes,
 /// slow-client eviction and close. The role passes between threads under
@@ -85,6 +91,14 @@ struct ServerCounters {
 /// role to an idle thread, and executes that connection's requests; any
 /// other runnable connections queue for the remaining threads. A request
 /// is thus read, executed and answered by one thread.
+///
+/// Poll before parking: the thread holding the I/O role polls epoll
+/// without blocking, yielding the CPU between polls, and blocks in
+/// epoll_wait only once 200 us pass with no event. Likewise one idle
+/// thread watches for the I/O role for up to 200 us before it sleeps, so
+/// the leader hands the role over without waking a thread. Under load the
+/// next request is picked up by a running thread, not by a wake-up; an
+/// idle server parks within 200 us of its last event.
 ///
 /// Replies: the executing thread appends to the connection's output
 /// buffer and sends it itself, under the connection's mutex, with
@@ -150,11 +164,14 @@ class Server {
   Status Listen();
   /// Body of every pool thread: executes a queued connection when fewer
   /// than `workers` threads are executing, else takes the I/O role when it
-  /// is free, else waits.
+  /// is free, else waits (the first idle thread watches for the role
+  /// before it sleeps).
   void ServeLoop();
-  /// I/O role: one epoll_wait and its event batch; connections it makes
-  /// runnable are collected in `ready_`. Returns false when epoll itself
-  /// broke (the caller keeps the role and leaves, as no thread can poll).
+  /// I/O role: waits for one event batch and handles it; connections it
+  /// makes runnable are collected in `ready_`. The wait polls epoll
+  /// (yielding between polls) for up to 200 us before it blocks, and ends
+  /// early on Stop(). Returns false when epoll itself broke (the caller
+  /// keeps the role and leaves, as no thread can poll).
   bool PollOnce();
 
   // ---- I/O role only: connection management ---------------------------
@@ -212,7 +229,10 @@ class Server {
   std::condition_variable work_cv_;
   /// Runnable connections waiting for a thread (work_mu_).
   std::deque<std::shared_ptr<Connection>> work_q_;
-  bool leader_active_ = false;  ///< work_mu_: a thread holds the I/O role.
+  /// A thread holds the I/O role. Written under work_mu_; read without
+  /// it by the thread watching for the role.
+  std::atomic<bool> leader_active_{false};
+  bool role_watched_ = false;   ///< work_mu_: a thread watches for the role.
   size_t executing_ = 0;        ///< work_mu_: threads running a connection.
 
   std::mutex flush_mu_;
@@ -225,6 +245,8 @@ class Server {
   std::atomic<uint64_t> frames_shed_overload_{0};
   std::atomic<uint64_t> frames_rejected_shutdown_{0};
   std::atomic<uint64_t> connections_dropped_slow_{0};
+  std::atomic<uint64_t> polls_caught_spinning_{0};
+  std::atomic<uint64_t> polls_parked_{0};
 };
 
 }  // namespace lsmssd::net

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <ctime>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -833,6 +834,34 @@ TEST(ServerTest, SlowClientIsEvictedByBacklogCapNotBufferedForever) {
   EXPECT_EQ(*got, Payload(options, 1));
 }
 
+TEST(ServerTest, KernelSendQueueCountsTowardTheBacklogCap) {
+  // A client that never reads, with default socket buffers: the kernel
+  // send buffer autotunes to MiBs and takes the replies before the
+  // server's own buffer grows, so the cap holds only if the bytes queued
+  // in the kernel are counted too.
+  ServerOptions sopts;
+  sopts.max_conn_backlog_bytes = 256u << 10;
+  ServerFixture fx("kernelbacklog", TinyDbOptions(), sopts);
+  const Options& options = fx.db->options();
+  constexpr Key kSeeded = 500;  // ~16 KiB per full-range scan response.
+  constexpr int kScans = 160;   // ~2.5 MiB of replies, never read.
+  {
+    auto seeder = fx.Connect();
+    for (Key k = 1; k <= kSeeded; ++k) {
+      ASSERT_TRUE(seeder->Put(k, Payload(options, k)).ok());
+    }
+  }
+  RawConn raw(fx.server->port());
+  std::string requests;
+  for (int i = 0; i < kScans; ++i) {
+    requests += EncodeFrame(static_cast<uint8_t>(Opcode::kScan),
+                            EncodeScanRequest(1, kSeeded, 0));
+  }
+  raw.Send(requests);
+  EXPECT_TRUE(WaitUntil(
+      [&] { return fx.server->counters().connections_dropped_slow == 1; }));
+}
+
 /// Records how many requests execute at once: the hook runs on the
 /// executing thread before the Db, and holds it there for `hold`.
 struct ConcurrencyProbe {
@@ -1053,6 +1082,104 @@ TEST(ServerTest, StopWithRequestsInFlightOnEveryThreadReturns) {
   }
   EXPECT_LT(fx.server->counters().frames_processed,
             static_cast<uint64_t>(kConns * kBurst));
+}
+
+/// CPU time used by every thread of this process.
+std::chrono::nanoseconds ProcessCpuTime() {
+  timespec ts{};
+  LSMSSD_CHECK(::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts) == 0);
+  return std::chrono::seconds(ts.tv_sec) + std::chrono::nanoseconds(ts.tv_nsec);
+}
+
+TEST(ServerTest, PacedRequestsAreMostlyCaughtWhilePolling) {
+  // PINGs sent every 50 us, well inside the 200 us poll window: the I/O
+  // role should find most event batches while polling, not after parking.
+  // The window is wall-clock time, so on a CPU-starved host a yielding
+  // leader can miss it; the test takes the best of a few bursts. A loop
+  // that never polls catches none in any burst.
+  ServerFixture fx("pollcatch");
+  constexpr int kPings = 400;
+  constexpr auto kGap = std::chrono::microseconds(50);
+  RawConn raw(fx.server->port());
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ASSERT_EQ(::setsockopt(raw.fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  const std::string ping = EncodeFrame(static_cast<uint8_t>(Opcode::kPing), "");
+  uint64_t caught = 0;
+  uint64_t parked = 0;
+  for (int burst = 0; burst < 5 && caught <= parked; ++burst) {
+    const ServerCounters before = fx.server->counters();
+    std::atomic<int> replies{0};
+    std::thread reader([&] {
+      std::string in;
+      Frame frame;
+      while (replies.load() < kPings && ReadFrame(raw.fd, &in, &frame)) {
+        replies.fetch_add(1);
+      }
+    });
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kPings; ++i) {
+      const auto due = start + i * kGap;
+      while (std::chrono::steady_clock::now() < due) {
+      }
+      raw.Send(ping);
+    }
+    reader.join();
+    ASSERT_EQ(replies.load(), kPings);
+    const ServerCounters after = fx.server->counters();
+    caught = after.polls_caught_spinning - before.polls_caught_spinning;
+    parked = after.polls_parked - before.polls_parked;
+  }
+  EXPECT_GT(caught, parked) << "caught " << caught << ", parked " << parked;
+
+  auto client = fx.Connect();
+  auto stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const ServerCounters now = fx.server->counters();
+  EXPECT_GE(stats->polls_caught_spinning, caught);
+  EXPECT_LE(stats->polls_caught_spinning, now.polls_caught_spinning);
+}
+
+TEST(ServerTest, IdleServerParksAfterItsLastEvent) {
+  // Once requests stop, the I/O role parks within its poll window: an
+  // idle server burns no CPU.
+  ServerFixture fx("idlepark");
+  auto client = fx.Connect();
+  ASSERT_TRUE(client->Ping().ok());
+  const auto cpu_before = ProcessCpuTime();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const auto cpu_used = ProcessCpuTime() - cpu_before;
+  EXPECT_LT(cpu_used, std::chrono::milliseconds(20))
+      << std::chrono::duration_cast<std::chrono::microseconds>(cpu_used)
+             .count()
+      << " us of CPU while idle";
+  auto stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_GE(stats->polls_parked, 1u);
+  EXPECT_LE(stats->polls_parked, fx.server->counters().polls_parked);
+}
+
+TEST(ServerTest, StopWhileTheLeaderPollsReturnsPromptly) {
+  // Right after a reply the I/O role is inside its poll window; Stop()
+  // must end the poll and join every thread at once. Several servers on
+  // one Db, so some Stop() calls land in the window whatever the timing.
+  ServerFixture fx("stoppoll");
+  for (int round = 0; round < 20; ++round) {
+    auto server_or = Server::Start(ServerOptions(), fx.db.get());
+    ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
+    std::unique_ptr<Server> server = std::move(server_or).value();
+    ClientOptions copts;
+    copts.port = server->port();
+    auto client_or = Client::Connect(copts);
+    ASSERT_TRUE(client_or.ok()) << client_or.status().ToString();
+    ASSERT_TRUE((*client_or)->Ping().ok());
+    const auto start = std::chrono::steady_clock::now();
+    server->Stop();
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_LT(elapsed, std::chrono::milliseconds(500)) << "round " << round;
+  }
 }
 
 }  // namespace

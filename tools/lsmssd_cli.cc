@@ -430,6 +430,9 @@ int CmdServe(const Flags& flags) {
             << " dropped malformed, " << counters.unsupported_version_frames
             << " unsupported-version, " << counters.frames_shed_overload
             << " shed overloaded)\n";
+  std::cout << "polls: " << counters.polls_caught_spinning
+            << " event batches caught polling, " << counters.polls_parked
+            << " parked\n";
   std::cout << "quarantined_blocks " << db.Stats().quarantined_blocks.size()
             << "\n";
   PrintDbSummary(db);
