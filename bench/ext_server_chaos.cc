@@ -253,7 +253,7 @@ OverloadResult RunOverloadPhase(size_t burst_conns, uint64_t burst_frames) {
     LSMSSD_CHECK(probe_or.ok()) << probe_or.status().ToString();
     auto stats_or = (*probe_or)->Stats();
     LSMSSD_CHECK(stats_or.ok()) << stats_or.status().ToString();
-    r.server_shed_counter = stats_or->frames_shed_overload;
+    r.server_shed_counter = stats_or->server.frames_shed_overload;
   }
   auto report_or = embedded->Stop();
   LSMSSD_CHECK(report_or.ok()) << report_or.status().ToString();

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "bench/harness/embedded_server.h"
+#include "bench/harness/source_commit.h"
 #include "src/net/client.h"
 #include "src/util/flags.h"
 #include "src/util/histogram.h"
@@ -67,31 +68,6 @@ double Scale() {
   if (scale == nullptr) return 1.0;
   const double v = std::atof(scale);
   return v > 0 ? v : 1.0;
-}
-
-/// The git commit of the source tree this binary was built from, with
-/// "-dirty" when tracked files differ from it; "unknown" when that tree
-/// is not a git checkout of its own.
-std::string SourceCommit() {
-  const std::filesystem::path src(LSMSSD_SOURCE_DIR);
-  const std::string cmd =
-      "cd '" + src.string() + "' && GIT_CEILING_DIRECTORIES='" +
-      src.parent_path().string() +
-      "' git rev-parse HEAD 2>/dev/null && "
-      "{ git diff --quiet HEAD 2>/dev/null || echo dirty; }";
-  FILE* pipe = popen(cmd.c_str(), "r");
-  if (pipe == nullptr) return "unknown";
-  std::string hash;
-  std::string dirty;
-  char line[128];
-  if (std::fgets(line, sizeof(line), pipe) != nullptr) hash = line;
-  if (std::fgets(line, sizeof(line), pipe) != nullptr) dirty = line;
-  pclose(pipe);
-  while (!hash.empty() && (hash.back() == '\n' || hash.back() == ' ')) {
-    hash.pop_back();
-  }
-  if (hash.size() != 40) return "unknown";
-  return dirty.empty() ? hash : hash + "-dirty";
 }
 
 struct PhaseResult {
@@ -473,10 +449,10 @@ int Main(int argc, char** argv) {
     auto stats_or = probe->Stats();
     LSMSSD_CHECK(stats_or.ok()) << stats_or.status().ToString();
     clean = stats_or->quarantined_blocks == 0 &&
-            stats_or->scrub_corruptions == 0;
+            stats_or->db.scrub_corruptions_found == 0;
     std::cout << "\nintegrity (remote): quarantined="
               << stats_or->quarantined_blocks
-              << " scrub_corruptions=" << stats_or->scrub_corruptions
+              << " scrub_corruptions=" << stats_or->db.scrub_corruptions_found
               << "\n";
     char buf[256];
     std::snprintf(
@@ -484,7 +460,7 @@ int Main(int argc, char** argv) {
         "  \"integrity\": {\"quarantined_blocks\": %llu, "
         "\"scrub_corruptions\": %llu, \"remote\": true},\n",
         static_cast<unsigned long long>(stats_or->quarantined_blocks),
-        static_cast<unsigned long long>(stats_or->scrub_corruptions));
+        static_cast<unsigned long long>(stats_or->db.scrub_corruptions_found));
     integrity_json = buf;
   }
 

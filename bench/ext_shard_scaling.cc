@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "bench/harness/experiment.h"
+#include "bench/harness/source_commit.h"
 #include "src/db/db.h"
 #include "src/util/logging.h"
 #include "src/util/random.h"
@@ -226,11 +227,12 @@ void Main() {
 
   std::string json = "{\n  \"bench\": \"ext_shard_scaling\",\n";
   {
-    char buf[128];
+    char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "  \"scale\": %g,\n  \"writers\": %d,\n"
-                  "  \"host_cpus\": %u,\n",
-                  scale, kWriters, std::thread::hardware_concurrency());
+                  "  \"host_cpus\": %u,\n  \"commit\": \"%s\",\n",
+                  scale, kWriters, std::thread::hardware_concurrency(),
+                  SourceCommit().c_str());
     json += buf;
   }
   json += "  \"sweep\": [\n";

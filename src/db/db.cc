@@ -194,8 +194,9 @@ StatusOr<std::unique_ptr<Db>> Db::Open(const DbOptions& dbopts,
   if (dbopts.background_compaction && dbopts.compaction_workers == 0) {
     return Status::InvalidArgument("compaction_workers must be >= 1");
   }
-  if (dbopts.shards == 0) {
-    return Status::InvalidArgument("shards must be >= 1");
+  if (dbopts.shards == 0 || dbopts.shards > kMaxShards) {
+    return Status::InvalidArgument("shards must be in [1, " +
+                                   std::to_string(kMaxShards) + "]");
   }
   if (dbopts.vlog_gc_ratio < 0 || dbopts.vlog_gc_ratio >= 1) {
     return Status::InvalidArgument("vlog_gc_ratio must be in [0, 1)");
@@ -305,7 +306,7 @@ StatusOr<std::unique_ptr<Db>> Db::Open(const DbOptions& dbopts,
     dev = db->fault_device_.get();
   }
   db->pinned_ = std::make_unique<PinnedBlockDevice>(dev, manifest_blocks);
-  db->recovery_manifest_blocks_ = manifest_blocks.size();
+  db->counts_.recovery_manifest_blocks = manifest_blocks.size();
 
   auto policy = CreatePolicy(dbopts.policy, dbopts.mixed_params);
   auto tree_or =
@@ -392,7 +393,7 @@ StatusOr<std::unique_ptr<Db>> Db::Open(const DbOptions& dbopts,
         }
         return st;
       }
-      ++db->recovery_replayed_;
+      ++db->counts_.recovery_wal_entries_replayed;
     }
     return Status::OK();
   };
@@ -643,7 +644,7 @@ Status Db::ApplyLocked(const Record& in, std::unique_lock<std::mutex>& lk) {
   if (Status st = wal_->Append(record); !st.ok()) {
     return FailLocked(std::move(st));
   }
-  wal_bytes_total_ += wal_->bytes_appended() - bytes_before;
+  counts_.wal_bytes_appended += wal_->bytes_appended() - bytes_before;
   const uint64_t my_seq = ++seq_appended_;
 
   if (dbopts_.background_compaction) {
@@ -682,7 +683,7 @@ Status Db::ApplyLocked(const Record& in, std::unique_lock<std::mutex>& lk) {
       // Anything else (an I/O error mid-merge, an internal invariant
       // breach) is a durability failure and poisons as before.
       if (st.code() == StatusCode::kResourceExhausted) {
-        ++backpressure_events_;
+        ++counts_.write_backpressure_events;
         return st;
       }
       if (st.IsCorruption()) return st;
@@ -736,7 +737,7 @@ Status Db::VlogAppendLocked(Record* record) {
   ptr.offset = vlog_head_offset_;
   ptr.length = static_cast<uint32_t>(record->payload.size());
   vlog_head_offset_ += entry.size();
-  vlog_bytes_appended_ += entry.size();
+  counts_.vlog_bytes_appended += entry.size();
   record->payload = EncodeVlogPointerToString(ptr);
   return Status::OK();
 }
@@ -789,7 +790,7 @@ Status Db::SyncCoveringLocked(std::unique_lock<std::mutex>& lk,
       return FailLocked(std::move(st));
     }
     seq_synced_ = std::max(seq_synced_, cover);
-    ++wal_syncs_;
+    ++counts_.wal_syncs;
     sync_cv_.notify_all();
   }
   return Status::OK();
@@ -823,7 +824,7 @@ Status Db::ForceSyncAllLocked(std::unique_lock<std::mutex>& lk) {
       return FailLocked(std::move(st));
     }
     seq_synced_ = std::max(seq_synced_, cover);
-    ++wal_syncs_;
+    ++counts_.wal_syncs;
     synced_once = true;
     sync_cv_.notify_all();
   }
@@ -855,8 +856,8 @@ Status Db::MaybeSealOrStallLocked(std::unique_lock<std::mutex>& lk) {
             return sealed_queued_ < dbopts_.compaction_slowdown_depth ||
                    !compaction_error_.ok() || failed();
           });
-      ++throttle_events_;
-      throttle_micros_ += micros_since(t0);
+      ++counts_.throttle_events;
+      counts_.throttle_micros += micros_since(t0);
     }
   }
 
@@ -870,21 +871,21 @@ Status Db::MaybeSealOrStallLocked(std::unique_lock<std::mutex>& lk) {
         compaction_error_.ok() && !failed()) {
       // Hard stall: the queue is full. Wait for the worker, still holding
       // db_mu_ — later writers queue behind us, which is the point.
-      ++stall_events_;
+      ++counts_.stall_events;
       const auto t0 = Clock::now();
       stall_cv_.wait(clk, [&] {
         return sealed_queued_ < dbopts_.compaction_queue_depth ||
                !compaction_error_.ok() || failed();
       });
       const uint64_t waited = micros_since(t0);
-      stall_micros_ += waited;
-      stall_hist_.Add(waited);
+      counts_.stall_micros += waited;
+      counts_.stall_latency.Add(waited);
     }
     if (!compaction_error_.ok()) {
       // Compaction is wedged (full device, quarantined block). Refuse the
       // op *before* logging it — clean backpressure the caller can retry
       // after freeing capacity (see SetMaxDeviceBlocks).
-      ++backpressure_events_;
+      ++counts_.write_backpressure_events;
       return compaction_error_;
     }
     if (failed()) return FailedStatus();
@@ -909,7 +910,7 @@ bool Db::SealActiveMemtableLocked() {
     // needs mem_mu_ exclusive.
     std::lock_guard<std::mutex> clk(comp_mu_);
     ++sealed_queued_;
-    ++memtables_sealed_;
+    ++counts_.memtables_sealed;
     compaction_scheduled_ = true;
   }
   // Every idle worker rechecks the kick; any that start a drain alongside
@@ -1062,11 +1063,11 @@ void Db::RunCompactionSteps() {
             .count());
     {
       std::lock_guard<std::mutex> clk(comp_mu_);
-      compaction_micros_ += micros;
+      counts_.compaction_micros += micros;
       if (st.ok()) {
         compaction_error_ = Status::OK();  // Progress clears a wedge.
-        if (step == LsmTree::CompactStep::kFlush) ++background_flushes_;
-        if (step == LsmTree::CompactStep::kMerge) ++background_merges_;
+        if (step == LsmTree::CompactStep::kFlush) ++counts_.background_flushes;
+        if (step == LsmTree::CompactStep::kMerge) ++counts_.background_merges;
         if (popped) --sealed_queued_;
       } else {
         compaction_error_ = st;
@@ -1315,7 +1316,7 @@ Status Db::CheckpointBodyLocked(std::unique_lock<std::mutex>& lk) {
     pinned_->AbortCheckpoint();
     return FailLocked(std::move(st));
   }
-  ++checkpoints_;
+  ++counts_.checkpoints;
 
   // 5. The manifest covers every rotated entry; delete the segments. (A
   //    crash before this double-replays them — safe, blind writes.)
@@ -1437,8 +1438,8 @@ void Db::ScrubTickLocked(std::unique_lock<std::mutex>& lk) {
     }
   }
   lk.lock();
-  scrub_blocks_verified_ += verified;
-  scrub_corruptions_ += corrupt;
+  counts_.scrub_blocks_verified += verified;
+  counts_.scrub_corruptions_found += corrupt;
 }
 
 Status Db::Scrub() {
@@ -1481,8 +1482,8 @@ Status Db::Scrub() {
   }
   {
     std::unique_lock<std::mutex> lk(db_mu_);
-    scrub_blocks_verified_ += verified;
-    scrub_corruptions_ += corrupt;
+    counts_.scrub_blocks_verified += verified;
+    counts_.scrub_corruptions_found += corrupt;
   }
   if (corrupt > 0) {
     return Status::Corruption("scrub found " + std::to_string(corrupt) +
@@ -1628,7 +1629,7 @@ Status Db::VlogGcSegmentLocked(std::unique_lock<std::mutex>& lk) {
     return Status::Corruption("vlog segment " + std::to_string(seg) +
                               " has unreadable entries; GC refused");
   }
-  vlog_gc_rewrites_ += rewrites;
+  counts_.vlog_gc_rewrites += rewrites;
   vlog_pending_tail_ = seg + 1;
   return Status::OK();
 }
@@ -1639,7 +1640,7 @@ Status Db::VlogDropBelowLocked(uint64_t tail) {
     if (::unlink(path.c_str()) != 0 && errno != ENOENT) {
       return Errno("unlink vlog segment " + path);
     }
-    ++vlog_segments_reclaimed_;
+    ++counts_.vlog_segments_reclaimed;
   }
   std::lock_guard<std::mutex> vlk(vlog_mu_);
   for (uint64_t n = vlog_tail_file_; n < tail; ++n) vlog_files_.erase(n);
@@ -1741,6 +1742,11 @@ DbStats Db::Stats() const {
   if (!shards_.empty()) return ShardedStats();
   std::unique_lock<std::mutex> lk(db_mu_);
   DbStats s;
+  {
+    std::lock_guard<std::mutex> clk(comp_mu_);
+    s = counts_;
+    s.compaction_queue_depth = sealed_queued_;
+  }
   // The tree's device view carries the complete logical account: block
   // writes/reads/allocs/frees plus cache_hits/misses and bloom_skips
   // (mirrored by CachedBlockDevice / recorded by Level::Lookup).
@@ -1748,46 +1754,73 @@ DbStats Db::Stats() const {
   // Syscall/batch counters tick on the file-backed base device's own
   // IoStats, not on the decorators' — overlay them into the snapshot.
   s.io.OverlaySyscallCounters(device_->stats());
-  // Db-level counters, not the active writer's: the writer's own counters
-  // reset every time a checkpoint rotates in a fresh wal.log.
   s.wal_entries_appended = seq_appended_;
-  s.wal_bytes_appended = wal_bytes_total_;
-  s.wal_syncs = wal_syncs_;
-  s.checkpoints = checkpoints_;
-  s.recovery_wal_entries_replayed = recovery_replayed_;
-  s.recovery_manifest_blocks = recovery_manifest_blocks_;
   s.deferred_frees = pinned_->deferred_frees();
   s.quarantined_blocks = pinned_->QuarantinedBlocks();
   std::sort(s.quarantined_blocks.begin(), s.quarantined_blocks.end());
-  s.scrub_blocks_verified = scrub_blocks_verified_;
-  s.scrub_corruptions_found = scrub_corruptions_;
-  s.write_backpressure_events = backpressure_events_;
   if (vlog_on_) {
     s.vlog_segments = vlog_head_file_ - vlog_tail_file_ + 1;
-    s.vlog_bytes_appended = vlog_bytes_appended_;
-    s.vlog_gc_rewrites = vlog_gc_rewrites_;
-    s.vlog_segments_reclaimed = vlog_segments_reclaimed_;
     s.vlog_quarantined_entries =
         vlog_quarantined_entries_.load(std::memory_order_relaxed);
-  }
-  {
-    std::lock_guard<std::mutex> clk(comp_mu_);
-    s.memtables_sealed = memtables_sealed_;
-    s.background_flushes = background_flushes_;
-    s.background_merges = background_merges_;
-    s.compaction_queue_depth = sealed_queued_;
-    s.compaction_micros = compaction_micros_;
-    s.throttle_events = throttle_events_;
-    s.throttle_micros = throttle_micros_;
-    s.stall_events = stall_events_;
-    s.stall_micros = stall_micros_;
-    s.stall_latency = stall_hist_;
   }
   return s;
 }
 
+std::span<const DbStats::Field> DbStats::Fields() {
+  // Rows of one group are in the order ToString() prints them.
+  using S = DbStats;
+  static constexpr Field kFields[] = {
+      {"shards", &S::shards},
+      {"arbiter_seals", &S::arbiter_seals},
+      {"wal_entries_appended", &S::wal_entries_appended, "wal", "entries"},
+      {"wal_bytes_appended", &S::wal_bytes_appended, "wal", "bytes"},
+      {"wal_syncs", &S::wal_syncs, "wal", "syncs"},
+      {"checkpoints", &S::checkpoints},
+      {"deferred_frees", &S::deferred_frees},
+      {"recovery_manifest_blocks", &S::recovery_manifest_blocks, "recovery",
+       "manifest_blocks"},
+      {"recovery_wal_entries_replayed", &S::recovery_wal_entries_replayed,
+       "recovery", "wal_entries_replayed"},
+      {"scrub_blocks_verified", &S::scrub_blocks_verified, "integrity",
+       "scrub_verified"},
+      {"scrub_corruptions", &S::scrub_corruptions_found, "integrity"},
+      {"write_backpressure_events", &S::write_backpressure_events,
+       "integrity", "backpressure_events"},
+      {"vlog_segments", &S::vlog_segments, "vlog", "segments"},
+      {"vlog_bytes_appended", &S::vlog_bytes_appended, "vlog",
+       "bytes_appended"},
+      {"vlog_gc_rewrites", &S::vlog_gc_rewrites, "vlog", "gc_rewrites"},
+      {"vlog_segments_reclaimed", &S::vlog_segments_reclaimed, "vlog",
+       "reclaimed"},
+      {"vlog_quarantined_entries", &S::vlog_quarantined_entries, "vlog",
+       "quarantined_entries"},
+      {"memtables_sealed", &S::memtables_sealed, "compaction", "sealed"},
+      {"background_flushes", &S::background_flushes, "compaction",
+       "bg_flushes"},
+      {"background_merges", &S::background_merges, "compaction", "bg_merges"},
+      {"compaction_queue_depth", &S::compaction_queue_depth, "compaction",
+       "queue_depth"},
+      {"compaction_micros", &S::compaction_micros, "compaction"},
+      {"throttle_events", &S::throttle_events, "compaction"},
+      {"throttle_micros", &S::throttle_micros, "compaction"},
+      {"stall_events", &S::stall_events, "compaction"},
+      {"stall_micros", &S::stall_micros, "compaction"},
+  };
+  return kFields;
+}
+
 std::string DbStats::ToString() const {
   std::string out;
+  // One "group: label=value ..." line from the table, after `head`.
+  auto line = [&](std::string_view group, const std::string& head = "") {
+    out.append(group).append(":").append(head);
+    for (const Field& f : Fields()) {
+      if (f.group == nullptr || group != f.group) continue;
+      out.append(" ").append(f.label ? f.label : f.name).append("=");
+      out += std::to_string(this->*f.member);
+    }
+    out += '\n';
+  };
   // Single-shard output is byte-identical to previous releases; the
   // shards line only appears for a sharded facade.
   if (shards > 1) {
@@ -1795,40 +1828,17 @@ std::string DbStats::ToString() const {
            " arbiter_seals=" + std::to_string(arbiter_seals) + "\n";
   }
   out += "io: " + io.ToString() + "\n";
-  out += "wal: entries=" + std::to_string(wal_entries_appended) +
-         " bytes=" + std::to_string(wal_bytes_appended) +
-         " syncs=" + std::to_string(wal_syncs) + "\n";
+  line("wal");
   out += "checkpoints: " + std::to_string(checkpoints) +
          " (deferred frees pending: " + std::to_string(deferred_frees) +
          ")\n";
-  out += "recovery: manifest_blocks=" +
-         std::to_string(recovery_manifest_blocks) +
-         " wal_entries_replayed=" +
-         std::to_string(recovery_wal_entries_replayed) + "\n";
-  out += "integrity: quarantined=" + std::to_string(quarantined_blocks.size()) +
-         " scrub_verified=" + std::to_string(scrub_blocks_verified) +
-         " scrub_corruptions=" + std::to_string(scrub_corruptions_found) +
-         " backpressure_events=" + std::to_string(write_backpressure_events) +
-         "\n";
+  line("recovery");
+  line("integrity",
+       " quarantined=" + std::to_string(quarantined_blocks.size()));
   // Only with key–value separation on — default output stays
   // byte-identical (vlog_segments is 0 whenever vlog mode is off).
-  if (vlog_segments > 0) {
-    out += "vlog: segments=" + std::to_string(vlog_segments) +
-           " bytes_appended=" + std::to_string(vlog_bytes_appended) +
-           " gc_rewrites=" + std::to_string(vlog_gc_rewrites) +
-           " reclaimed=" + std::to_string(vlog_segments_reclaimed) +
-           " quarantined_entries=" + std::to_string(vlog_quarantined_entries) +
-           "\n";
-  }
-  out += "compaction: sealed=" + std::to_string(memtables_sealed) +
-         " bg_flushes=" + std::to_string(background_flushes) +
-         " bg_merges=" + std::to_string(background_merges) +
-         " queue_depth=" + std::to_string(compaction_queue_depth) +
-         " compaction_micros=" + std::to_string(compaction_micros) +
-         " throttle_events=" + std::to_string(throttle_events) +
-         " throttle_micros=" + std::to_string(throttle_micros) +
-         " stall_events=" + std::to_string(stall_events) +
-         " stall_micros=" + std::to_string(stall_micros) + "\n";
+  if (vlog_segments > 0) line("vlog");
+  line("compaction");
   out += "stall_latency_us: " + stall_latency.ToString() + "\n";
   return out;
 }

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/db/db_stats.h"
 #include "src/db/pinned_block_device.h"
 #include "src/format/options.h"
 #include "src/format/vlog_pointer.h"
@@ -181,60 +182,6 @@ struct DbOptions {
   FaultInjector* fault_injector = nullptr;
 };
 
-/// Counters surfaced by Db::Stats().
-struct DbStats {
-  IoStats io;  ///< Physical device accounting (incl. cache/bloom counters).
-  uint64_t wal_entries_appended = 0;  ///< Since this Db was opened.
-  uint64_t wal_bytes_appended = 0;    ///< Framed bytes, since open.
-  uint64_t wal_syncs = 0;             ///< Successful explicit WAL fsyncs.
-  uint64_t checkpoints = 0;           ///< Checkpoints taken since open.
-  uint64_t recovery_wal_entries_replayed = 0;  ///< Replayed during Open.
-  uint64_t recovery_manifest_blocks = 0;  ///< Blocks restored from manifest.
-  uint64_t deferred_frees = 0;  ///< Blocks pinned for recovery, free deferred.
-
-  /// Block ids that failed checksum verification (on a read or a scrub),
-  /// sorted. A quarantined block keeps returning Corruption on every
-  /// access; it leaves the set only when a merge/compaction frees it.
-  std::vector<BlockId> quarantined_blocks;
-  uint64_t scrub_blocks_verified = 0;   ///< Clean verdicts, since open.
-  uint64_t scrub_corruptions_found = 0; ///< Corrupt verdicts, since open.
-  /// Put/Delete calls that returned ResourceExhausted because the device
-  /// hit max_device_blocks (the op itself is logged and applied; only the
-  /// triggered merge was rolled back).
-  uint64_t write_backpressure_events = 0;
-
-  // Background compaction (all zero when background_compaction is off).
-  uint64_t memtables_sealed = 0;     ///< Active memtables moved to the queue.
-  uint64_t background_flushes = 0;   ///< Worker steps draining a sealed memtable.
-  uint64_t background_merges = 0;    ///< Worker steps merging an on-SSD level.
-  uint64_t compaction_queue_depth = 0;  ///< Sealed memtables queued right now.
-  uint64_t compaction_micros = 0;    ///< Worker wall time inside merge steps.
-  uint64_t throttle_events = 0;      ///< Ops delayed by the soft slowdown.
-  uint64_t throttle_micros = 0;
-  uint64_t stall_events = 0;         ///< Ops that hit the hard queue-full stall.
-  uint64_t stall_micros = 0;
-  /// Per-op hard-stall wait times in microseconds (only stalled ops are
-  /// recorded; an empty histogram means no writer ever hit the wall). For
-  /// a sharded Db this is the *merge* of every shard's histogram
-  /// (LatencyHistogram::Merge), not one shard's view.
-  LatencyHistogram stall_latency;
-
-  // Sharding (see DbOptions::shards; both trivial when unsharded).
-  uint64_t shards = 1;         ///< Shard count behind this facade.
-  uint64_t arbiter_seals = 0;  ///< Early seals forced by the memory arbiter.
-
-  // Value log (all zero when key–value separation is off; the ToString
-  // summary omits the vlog line entirely in that case).
-  uint64_t vlog_segments = 0;         ///< Segments in [tail, head] right now.
-  uint64_t vlog_bytes_appended = 0;   ///< Entry bytes appended since open.
-  uint64_t vlog_gc_rewrites = 0;      ///< Live entries GC re-appended.
-  uint64_t vlog_segments_reclaimed = 0;  ///< Segments GC deleted since open.
-  uint64_t vlog_quarantined_entries = 0; ///< Entries failing checksum reads.
-
-  /// Multi-line human-readable summary (CLI stats line).
-  std::string ToString() const;
-};
-
 /// Single-entry-point durable engine: a directory owning a
 /// FileBlockDevice (`blocks.dev`), a write-ahead log (`wal.log`, plus
 /// rotated `wal.old.<n>` segments while a checkpoint is in flight), a
@@ -380,6 +327,9 @@ class Db {
   LsmTree* tree() { return tree_.get(); }
 
   // ---- Sharding ------------------------------------------------------
+
+  /// Largest shard count Open accepts (options or SHARDS file).
+  static constexpr size_t kMaxShards = 256;
 
   /// Number of shards behind this instance (1 when unsharded).
   size_t shard_count() const {
@@ -671,7 +621,7 @@ class Db {
   //          shared.
   // comp_mu_ leaf lock (never held while acquiring any other): compaction
   //          queue depth, worker state, the per-level ownership table
-  //          (level_claims_), stall/throttle counters. Guards
+  //          (level_claims_), counts_' compaction counters. Guards
   //          stall_cv_, on which stalled writers wait *while holding
   //          db_mu_* — which is why workers must not touch db_mu_
   //          between steps.
@@ -712,15 +662,9 @@ class Db {
   /// writers that must seal, cleared by a later successful step or by
   /// SetMaxDeviceBlocks. Durability errors poison the Db instead.
   Status compaction_error_;
-  uint64_t memtables_sealed_ = 0;
-  uint64_t background_flushes_ = 0;
-  uint64_t background_merges_ = 0;
-  uint64_t compaction_micros_ = 0;
-  uint64_t throttle_events_ = 0;
-  uint64_t throttle_micros_ = 0;
-  uint64_t stall_events_ = 0;
-  uint64_t stall_micros_ = 0;
-  LatencyHistogram stall_hist_;
+  /// DbStats counted in place: the compaction line's counters and
+  /// stall_latency under comp_mu_, the rest under db_mu_.
+  DbStats counts_;
 
   // Group-commit bookkeeping (under db_mu_). Sequence numbers count WAL
   // entries appended since open; they survive rotation (unlike the
@@ -730,19 +674,11 @@ class Db {
   uint64_t sync_target_ = 0;   ///< Entries covered once the in-flight
                                ///< fsync completes (kEveryN batching).
 
-  uint64_t wal_bytes_total_ = 0;  ///< Framed bytes appended since open.
-  uint64_t wal_syncs_ = 0;
-  uint64_t checkpoints_ = 0;
-  uint64_t recovery_replayed_ = 0;
-  uint64_t recovery_manifest_blocks_ = 0;
   uint64_t wal_recovered_bytes_ = 0;  ///< Active-WAL size found at Open.
   uint64_t wal_old_bytes_ = 0;    ///< Total bytes in rotated segments.
   uint64_t next_wal_segment_ = 1; ///< Next rotation's segment number.
 
   // Integrity bookkeeping (under db_mu_).
-  uint64_t scrub_blocks_verified_ = 0;
-  uint64_t scrub_corruptions_ = 0;
-  uint64_t backpressure_events_ = 0;
   BlockId scrub_cursor_ = 0;  ///< Background scrub resumes after this id.
 
   // ---- Value log state (empty/zero when key–value separation is off).
@@ -756,9 +692,6 @@ class Db {
   uint64_t vlog_tail_file_ = 0;       ///< Manifest-published tail.
   uint64_t vlog_pending_tail_ = 0;    ///< GC-advanced, awaiting publish.
   VlogFile* vlog_head_ = nullptr;     ///< Borrowed from vlog_files_.
-  uint64_t vlog_bytes_appended_ = 0;
-  uint64_t vlog_gc_rewrites_ = 0;
-  uint64_t vlog_segments_reclaimed_ = 0;
 
   mutable std::mutex vlog_mu_;  ///< Leaf lock (never held acquiring others).
   /// Every open segment in [tail, head], shared so a reader holding one

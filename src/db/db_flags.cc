@@ -67,8 +67,9 @@ StatusOr<DbOptions> DbOptionsFromFlags(const FlagMap& flags,
   }
 
   LSMSSD_ASSIGN_OR_RETURN(dbopts.shards, FlagUint(flags, "shards", 1));
-  if (dbopts.shards == 0) {
-    return Status::InvalidArgument("--shards must be >= 1");
+  if (dbopts.shards == 0 || dbopts.shards > Db::kMaxShards) {
+    return Status::InvalidArgument("--shards must be in [1, " +
+                                   std::to_string(Db::kMaxShards) + "]");
   }
 
   LSMSSD_ASSIGN_OR_RETURN(dbopts.scrub_interval_ms,

@@ -10,6 +10,7 @@
 // and branches to these implementations when shards_ is non-empty.
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -159,11 +160,15 @@ StatusOr<size_t> Db::ReadShardLayout(const std::string& dir) {
   if (count_pos == std::string::npos) {
     return Status::Corruption(path + ": missing count");
   }
-  const size_t count =
-      std::strtoull(body.c_str() + count_pos + count_tag.size(), nullptr, 10);
-  if (count < 2) {
-    return Status::Corruption(path + ": shard count " +
-                              std::to_string(count) + " out of range");
+  // Digits up to the newline, at most kMaxShards: Open makes a directory
+  // and threads per shard.
+  size_t count = 0;
+  const char* digits = body.c_str() + count_pos + count_tag.size();
+  const auto [past, ec] =
+      std::from_chars(digits, body.data() + body.size(), count);
+  if (ec != std::errc() || *past != '\n' || count < 2 || count > kMaxShards) {
+    return Status::Corruption(path + ": shard count out of range [2, " +
+                              std::to_string(kMaxShards) + "]");
   }
   if (body.find("\nhash=" + std::string(kLayoutHash) + "\n") ==
       std::string::npos) {
@@ -332,24 +337,12 @@ Status Db::ShardedScan(Key lo, Key hi,
 
 DbStats Db::ShardedStats() const {
   DbStats agg;
-  agg.shards = shards_.size();
-  agg.arbiter_seals = arbiter_seals_.load(std::memory_order_relaxed);
-  bool first = true;
   for (const auto& shard : shards_) {
     const DbStats s = shard->Stats();
-    if (first) {
-      agg.io = s.io;
-      first = false;
-    } else {
-      agg.io.MergeFrom(s.io);
+    for (const DbStats::Field& f : DbStats::Fields()) {
+      agg.*f.member += s.*f.member;
     }
-    agg.wal_entries_appended += s.wal_entries_appended;
-    agg.wal_bytes_appended += s.wal_bytes_appended;
-    agg.wal_syncs += s.wal_syncs;
-    agg.checkpoints += s.checkpoints;
-    agg.recovery_wal_entries_replayed += s.recovery_wal_entries_replayed;
-    agg.recovery_manifest_blocks += s.recovery_manifest_blocks;
-    agg.deferred_frees += s.deferred_frees;
+    agg.io.MergeFrom(s.io);
     // Block ids are per-shard namespaces: the same id from two shards
     // names two distinct physical blocks, so duplicates are kept (the
     // count is what matters at the facade; shard(i)->Stats() has the
@@ -357,26 +350,12 @@ DbStats Db::ShardedStats() const {
     agg.quarantined_blocks.insert(agg.quarantined_blocks.end(),
                                   s.quarantined_blocks.begin(),
                                   s.quarantined_blocks.end());
-    agg.scrub_blocks_verified += s.scrub_blocks_verified;
-    agg.scrub_corruptions_found += s.scrub_corruptions_found;
-    agg.write_backpressure_events += s.write_backpressure_events;
-    agg.vlog_segments += s.vlog_segments;
-    agg.vlog_bytes_appended += s.vlog_bytes_appended;
-    agg.vlog_gc_rewrites += s.vlog_gc_rewrites;
-    agg.vlog_segments_reclaimed += s.vlog_segments_reclaimed;
-    agg.vlog_quarantined_entries += s.vlog_quarantined_entries;
-    agg.memtables_sealed += s.memtables_sealed;
-    agg.background_flushes += s.background_flushes;
-    agg.background_merges += s.background_merges;
-    agg.compaction_queue_depth += s.compaction_queue_depth;
-    agg.compaction_micros += s.compaction_micros;
-    agg.throttle_events += s.throttle_events;
-    agg.throttle_micros += s.throttle_micros;
-    agg.stall_events += s.stall_events;
-    agg.stall_micros += s.stall_micros;
     agg.stall_latency.Merge(s.stall_latency);
   }
   std::sort(agg.quarantined_blocks.begin(), agg.quarantined_blocks.end());
+  // Facade-level values, not sums of the shards' trivial ones.
+  agg.shards = shards_.size();
+  agg.arbiter_seals = arbiter_seals_.load(std::memory_order_relaxed);
   return agg;
 }
 

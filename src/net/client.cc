@@ -13,6 +13,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <sstream>
 #include <thread>
 
 #include "src/util/backoff.h"
@@ -447,34 +449,25 @@ StatusOr<ServerStats> Client::Stats() {
   ServerStats stats;
   stats.text = body;
   // Parseable prefix: `key value` lines up to the first blank line.
-  std::string_view rest = stats.text;
-  while (!rest.empty()) {
-    const size_t nl = rest.find('\n');
-    const std::string_view line =
-        nl == std::string_view::npos ? rest : rest.substr(0, nl);
-    rest = nl == std::string_view::npos ? std::string_view()
-                                        : rest.substr(nl + 1);
-    if (line.empty()) break;  // Blank line ends the parseable section.
+  std::map<std::string, uint64_t, std::less<>> values;
+  std::istringstream in(stats.text);
+  for (std::string line; std::getline(in, line) && !line.empty();) {
     const size_t sp = line.find(' ');
-    if (sp == std::string_view::npos) continue;
-    const std::string_view k = line.substr(0, sp);
-    const uint64_t v = std::strtoull(std::string(line.substr(sp + 1)).c_str(),
-                                     nullptr, 10);
-    if (k == "payload_size") stats.payload_size = v;
-    else if (k == "shards") stats.shards = v;
-    else if (k == "checkpoints") stats.checkpoints = v;
-    else if (k == "memtables_sealed") stats.memtables_sealed = v;
-    else if (k == "stall_events") stats.stall_events = v;
-    else if (k == "quarantined_blocks") stats.quarantined_blocks = v;
-    else if (k == "scrub_corruptions") stats.scrub_corruptions = v;
-    else if (k == "scrub_blocks_verified") stats.scrub_blocks_verified = v;
-    else if (k == "frames_processed") stats.frames_processed = v;
-    else if (k == "connections_dropped") stats.connections_dropped = v;
-    else if (k == "frames_shed_overload") stats.frames_shed_overload = v;
-    else if (k == "frames_rejected_shutdown") stats.frames_rejected_shutdown = v;
-    else if (k == "connections_dropped_slow") stats.connections_dropped_slow = v;
-    else if (k == "polls_caught_spinning") stats.polls_caught_spinning = v;
-    else if (k == "polls_parked") stats.polls_parked = v;
+    if (sp == std::string::npos) continue;
+    values[line.substr(0, sp)] = std::strtoull(&line[sp + 1], nullptr, 10);
+  }
+  auto value = [&values](std::string_view key) -> uint64_t {
+    const auto it = values.find(key);
+    return it == values.end() ? 0 : it->second;
+  };
+  stats.payload_size = value(kStatsPayloadSize);
+  stats.quarantined_blocks = value(kStatsQuarantinedBlocks);
+  for (const auto& f : ServerCounters::Fields()) {
+    stats.server.*f.member = value(f.name);
+  }
+  for (const auto& f : DbStats::Fields()) stats.db.*f.member = value(f.name);
+  for (const auto& f : IoStats::Fields()) {
+    stats.db.io.Set(f, value(std::string(kStatsIoPrefix) + f.name));
   }
   return stats;
 }

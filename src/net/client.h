@@ -10,6 +10,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/db/db_stats.h"
 #include "src/net/fault_socket.h"
 #include "src/net/wire.h"
 #include "src/util/status.h"
@@ -19,8 +20,8 @@ namespace lsmssd::net {
 
 // The *stable public client surface* of the network layer: everything a
 // networked tool or bench needs lives in this header (plus the wire
-// codec it re-exports). Client code must not include src/db headers —
-// the wire protocol, not the Db class, is the compatibility contract.
+// codec it re-exports). Client code never sees the Db class, only the
+// plain stats structs: the wire protocol is the compatibility contract.
 
 /// Bounded-retry policy for the high-level ops (Put/Delete/Get/Scan/
 /// Stats/Ping). The default — max_attempts = 1 — is "no retries": every
@@ -81,24 +82,15 @@ struct ClientStats {
   uint64_t abandoned_replies = 0;  ///< Owed replies written off / drained.
 };
 
-/// Server-side counters a client can read over the wire (the parseable
-/// prefix of the STATS response; `text` is the full human-readable tail).
+/// The STATS reply's `key value` section, parsed through the stats
+/// tables (see wire.h); a key an older server does not send reads 0.
 struct ServerStats {
   uint64_t payload_size = 0;        ///< Fixed record payload width.
-  uint64_t shards = 0;
-  uint64_t checkpoints = 0;
-  uint64_t memtables_sealed = 0;
-  uint64_t stall_events = 0;
   uint64_t quarantined_blocks = 0;  ///< Checksum-failed blocks right now.
-  uint64_t scrub_corruptions = 0;   ///< Corrupt verdicts since open.
-  uint64_t scrub_blocks_verified = 0;
-  uint64_t frames_processed = 0;    ///< Server-side request frames handled.
-  uint64_t connections_dropped = 0; ///< Malformed-frame connection drops.
-  uint64_t frames_shed_overload = 0;   ///< Rejected kOverloaded, unexecuted.
-  uint64_t frames_rejected_shutdown = 0; ///< Rejected kShuttingDown.
-  uint64_t connections_dropped_slow = 0; ///< Evicted: response backlog cap.
-  uint64_t polls_caught_spinning = 0;  ///< Event batches found polling.
-  uint64_t polls_parked = 0;           ///< Blocking epoll_wait calls.
+  ServerCounters server;
+  /// Every scalar and every `io` counter; the block list and the stall
+  /// histogram do not travel (see quarantined_blocks and `text`).
+  DbStats db;
   std::string text;                 ///< Full stats dump (human-readable).
 };
 

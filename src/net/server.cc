@@ -231,16 +231,12 @@ bool Server::Drain(int deadline_ms) {
 }
 
 ServerCounters Server::counters() const {
+  static_assert(std::atomic_ref<uint64_t>::required_alignment ==
+                alignof(uint64_t));
   ServerCounters c;
-  c.connections_accepted = connections_accepted_.load();
-  c.connections_dropped_malformed = connections_dropped_malformed_.load();
-  c.frames_processed = frames_processed_.load();
-  c.unsupported_version_frames = unsupported_version_frames_.load();
-  c.frames_shed_overload = frames_shed_overload_.load();
-  c.frames_rejected_shutdown = frames_rejected_shutdown_.load();
-  c.connections_dropped_slow = connections_dropped_slow_.load();
-  c.polls_caught_spinning = polls_caught_spinning_.load();
-  c.polls_parked = polls_parked_.load();
+  for (const auto& f : ServerCounters::Fields()) {
+    c.*f.member = std::atomic_ref<uint64_t>(counts_.*f.member).load();
+  }
   return c;
 }
 
@@ -325,10 +321,10 @@ bool Server::PollOnce() {
     return n != 0 || stopping_.load(std::memory_order_relaxed);
   });
   if (n > 0) {
-    polls_caught_spinning_.fetch_add(1, std::memory_order_relaxed);
+    Count(&ServerCounters::polls_caught_spinning);
   } else if (n == 0) {
     if (stopping_.load(std::memory_order_relaxed)) return true;
-    polls_parked_.fetch_add(1, std::memory_order_relaxed);
+    Count(&ServerCounters::polls_parked);
     n = epoll_wait(epoll_fd_, events, 128, -1);
   }
   if (n < 0) return errno == EINTR;  // Any other error: epoll itself broke.
@@ -402,7 +398,7 @@ void Server::AcceptNew() {
     ev.events = EPOLLIN;
     ev.data.fd = fd;
     epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+    Count(&ServerCounters::connections_accepted);
     live_conns_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -459,13 +455,13 @@ void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
       // The byte stream is not trustworthy past this point: there is no
       // reliable opcode to reply to, so drop the connection. The Db never
       // saw the bytes — nothing to poison.
-      connections_dropped_malformed_.fetch_add(1, std::memory_order_relaxed);
+      Count(&ServerCounters::connections_dropped_malformed);
       CloseConn(conn);
       return;
     }
     pos += consumed;
     if (frame.version != kWireVersion) {
-      unsupported_version_frames_.fetch_add(1, std::memory_order_relaxed);
+      Count(&ServerCounters::unsupported_version_frames);
       const std::string reply = EncodeFrame(
           static_cast<uint8_t>(frame.opcode | kResponseBit),
           EncodeProtocolErrorResponse(
@@ -491,7 +487,7 @@ void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
     Kind kind = Kind::kExecute;
     if (drain_begun_) {
       kind = Kind::kShedShutdown;
-      frames_rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
+      Count(&ServerCounters::frames_rejected_shutdown);
     } else if (opts_.max_pending_frames > 0 &&
                pending_frames_.load(std::memory_order_relaxed) >=
                    static_cast<int64_t>(opts_.max_pending_frames) &&
@@ -501,7 +497,7 @@ void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
       // overloaded server must still get PING/STATS answers — they do
       // no Db work, so admitting them cannot deepen the overload.
       kind = Kind::kShedOverload;
-      frames_shed_overload_.fetch_add(1, std::memory_order_relaxed);
+      Count(&ServerCounters::frames_shed_overload);
     } else {
       pending_frames_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -560,7 +556,7 @@ void Server::TryFlush(const std::shared_ptr<Connection>& conn) {
       // read responses; its backlog, not the thread pool, is the memory
       // it is consuming. Dropping the connection frees it — the client
       // observes a reset (Unavailable) and may reconnect with backoff.
-      connections_dropped_slow_.fetch_add(1, std::memory_order_relaxed);
+      Count(&ServerCounters::connections_dropped_slow);
       CloseConn(conn);
       return;
     }
@@ -725,7 +721,7 @@ void Server::RunConnection(const std::shared_ptr<Connection>& conn) {
 
 std::string Server::HandleRequest(const Frame& frame) {
   if (opts_.worker_hook_for_testing) opts_.worker_hook_for_testing();
-  frames_processed_.fetch_add(1, std::memory_order_relaxed);
+  Count(&ServerCounters::frames_processed);
   const uint8_t response_op =
       static_cast<uint8_t>(frame.opcode | kResponseBit);
   auto malformed = [&](const char* what) {
@@ -815,27 +811,17 @@ std::string Server::HandleRequest(const Frame& frame) {
 std::string Server::BuildStatsText() {
   const DbStats s = db_->Stats();
   std::string t;
-  auto line = [&t](const char* key, uint64_t value) {
-    t += key;
-    t += ' ';
-    t += std::to_string(value);
-    t += '\n';
+  auto line = [&t](std::string_view key, uint64_t value) {
+    t.append(key).append(" ").append(std::to_string(value)).append("\n");
   };
-  line("payload_size", db_->options().payload_size);
-  line("shards", s.shards);
-  line("checkpoints", s.checkpoints);
-  line("memtables_sealed", s.memtables_sealed);
-  line("stall_events", s.stall_events);
-  line("quarantined_blocks", s.quarantined_blocks.size());
-  line("scrub_corruptions", s.scrub_corruptions_found);
-  line("scrub_blocks_verified", s.scrub_blocks_verified);
-  line("frames_processed", frames_processed_.load());
-  line("connections_dropped", connections_dropped_malformed_.load());
-  line("frames_shed_overload", frames_shed_overload_.load());
-  line("frames_rejected_shutdown", frames_rejected_shutdown_.load());
-  line("connections_dropped_slow", connections_dropped_slow_.load());
-  line("polls_caught_spinning", polls_caught_spinning_.load());
-  line("polls_parked", polls_parked_.load());
+  line(kStatsPayloadSize, db_->options().payload_size);
+  line(kStatsQuarantinedBlocks, s.quarantined_blocks.size());
+  const ServerCounters c = counters();
+  for (const auto& f : ServerCounters::Fields()) line(f.name, c.*f.member);
+  for (const auto& f : DbStats::Fields()) line(f.name, s.*f.member);
+  for (const auto& f : IoStats::Fields()) {
+    line(std::string(kStatsIoPrefix) + f.name, s.io.Get(f));
+  }
   t += '\n';
   t += s.ToString();
   return t;

@@ -62,21 +62,6 @@ struct ServerOptions {
   std::function<void()> worker_hook_for_testing;
 };
 
-/// Monotonic server counters (exposed via counters() and over the wire
-/// in the STATS response).
-struct ServerCounters {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_dropped_malformed = 0;  ///< Frame-level garbage.
-  uint64_t frames_processed = 0;               ///< Request frames executed.
-  uint64_t unsupported_version_frames = 0;
-  uint64_t frames_shed_overload = 0;     ///< Answered kOverloaded, unexecuted.
-  uint64_t frames_rejected_shutdown = 0; ///< Answered kShuttingDown (drain).
-  uint64_t connections_dropped_slow = 0; ///< Evicted over the backlog cap.
-  /// I/O role: event batches found while polling before parking.
-  uint64_t polls_caught_spinning = 0;
-  uint64_t polls_parked = 0;  ///< I/O role: blocking epoll_wait calls.
-};
-
 /// Pipelined binary-protocol server over one Db.
 ///
 /// Architecture: a leader/follower pool of `workers + 1` identical
@@ -195,6 +180,10 @@ class Server {
   /// Executes one decoded request, returning the encoded response frame.
   std::string HandleRequest(const Frame& frame);
   std::string BuildStatsText();
+  void Count(uint64_t ServerCounters::*counter) {
+    std::atomic_ref<uint64_t>(counts_.*counter)
+        .fetch_add(1, std::memory_order_relaxed);
+  }
   /// Asks the I/O role to flush `conn` (eventfd wake-up).
   void SignalFlush(const std::shared_ptr<Connection>& conn);
 
@@ -238,15 +227,8 @@ class Server {
   std::mutex flush_mu_;
   std::vector<std::shared_ptr<Connection>> flush_q_;
 
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_dropped_malformed_{0};
-  std::atomic<uint64_t> frames_processed_{0};
-  std::atomic<uint64_t> unsupported_version_frames_{0};
-  std::atomic<uint64_t> frames_shed_overload_{0};
-  std::atomic<uint64_t> frames_rejected_shutdown_{0};
-  std::atomic<uint64_t> connections_dropped_slow_{0};
-  std::atomic<uint64_t> polls_caught_spinning_{0};
-  std::atomic<uint64_t> polls_parked_{0};
+  /// Touched only through std::atomic_ref (Count(), counters()).
+  mutable ServerCounters counts_;
 };
 
 }  // namespace lsmssd::net

@@ -357,4 +357,20 @@ bool DecodeScanResponseBody(std::string_view body,
   return pos == body.size();
 }
 
+std::span<const ServerCounters::Field> ServerCounters::Fields() {
+  static constexpr Field kFields[] = {
+      {"connections_accepted", &ServerCounters::connections_accepted},
+      {"connections_dropped", &ServerCounters::connections_dropped_malformed},
+      {"frames_processed", &ServerCounters::frames_processed},
+      {"unsupported_version_frames",
+       &ServerCounters::unsupported_version_frames},
+      {"frames_shed_overload", &ServerCounters::frames_shed_overload},
+      {"frames_rejected_shutdown", &ServerCounters::frames_rejected_shutdown},
+      {"connections_dropped_slow", &ServerCounters::connections_dropped_slow},
+      {"polls_caught_spinning", &ServerCounters::polls_caught_spinning},
+      {"polls_parked", &ServerCounters::polls_parked},
+  };
+  return kFields;
+}
+
 }  // namespace lsmssd::net

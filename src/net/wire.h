@@ -2,6 +2,7 @@
 #define LSMSSD_NET_WIRE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -203,6 +204,40 @@ Status DecodeResponseStatus(std::string_view payload, std::string_view* body);
 /// Op-specific OK-body decoders (false = truncated/inconsistent body).
 bool DecodeScanResponseBody(std::string_view body,
                             std::vector<ScanItem>* items);
+
+// ---- STATS reply ----------------------------------------------------------
+//
+// Text: `key value` lines, a blank line, then DbStats::ToString(). The
+// keys are kStatsPayloadSize, kStatsQuarantinedBlocks (a count) and one
+// per row of ServerCounters::Fields(), DbStats::Fields() and, prefixed
+// with kStatsIoPrefix, IoStats::Fields(). Keys are never renamed.
+
+inline constexpr std::string_view kStatsPayloadSize = "payload_size";
+inline constexpr std::string_view kStatsQuarantinedBlocks =
+    "quarantined_blocks";
+inline constexpr std::string_view kStatsIoPrefix = "io_";
+
+/// Monotonic server counters (Server::counters(); STATS carries each
+/// under its Fields() name).
+struct ServerCounters {
+  uint64_t connections_accepted = 0;
+  uint64_t connections_dropped_malformed = 0;  ///< Frame-level garbage.
+  uint64_t frames_processed = 0;               ///< Request frames executed.
+  uint64_t unsupported_version_frames = 0;
+  uint64_t frames_shed_overload = 0;     ///< Answered kOverloaded, unexecuted.
+  uint64_t frames_rejected_shutdown = 0; ///< Answered kShuttingDown (drain).
+  uint64_t connections_dropped_slow = 0; ///< Evicted over the backlog cap.
+  /// I/O role: event batches found while polling before parking.
+  uint64_t polls_caught_spinning = 0;
+  uint64_t polls_parked = 0;  ///< I/O role: blocking epoll_wait calls.
+
+  /// One row per counter: its STATS key and member (table in wire.cc).
+  struct Field {
+    const char* name;
+    uint64_t ServerCounters::*member;
+  };
+  static std::span<const Field> Fields();
+};
 
 }  // namespace lsmssd::net
 

@@ -1,95 +1,61 @@
 #include "src/storage/io_stats.h"
 
-#include <sstream>
-
 namespace lsmssd {
 
+std::span<const IoStats::Field> IoStats::Fields() {
+  static constexpr Field kFields[] = {
+      {"writes", Field::kBlocks, &IoStats::block_writes_},
+      {"reads", Field::kBlocks, &IoStats::block_reads_},
+      {"cached_reads", Field::kBlocks, &IoStats::cached_reads_},
+      {"allocs", Field::kBlocks, &IoStats::block_allocs_},
+      {"frees", Field::kBlocks, &IoStats::block_frees_},
+      {"cache_hits", Field::kCache, &IoStats::cache_hits_},
+      {"cache_misses", Field::kCache, &IoStats::cache_misses_},
+      {"bloom_skips", Field::kCache, &IoStats::bloom_skips_},
+      {"write_syscalls", Field::kSyscalls, &IoStats::write_syscalls_},
+      {"read_syscalls", Field::kSyscalls, &IoStats::read_syscalls_},
+      {"batch_writes", Field::kSyscalls, &IoStats::batch_writes_},
+      {"batched_blocks_written", Field::kSyscalls,
+       &IoStats::batched_blocks_written_},
+      {"batch_reads", Field::kSyscalls, &IoStats::batch_reads_},
+      {"batched_blocks_read", Field::kSyscalls,
+       &IoStats::batched_blocks_read_},
+  };
+  return kFields;
+}
+
 void IoStats::CopyFrom(const IoStats& other) {
-  block_writes_.store(other.block_writes(), std::memory_order_relaxed);
-  block_reads_.store(other.block_reads(), std::memory_order_relaxed);
-  cached_reads_.store(other.cached_reads(), std::memory_order_relaxed);
-  block_frees_.store(other.block_frees(), std::memory_order_relaxed);
-  block_allocs_.store(other.block_allocs(), std::memory_order_relaxed);
-  cache_hits_.store(other.cache_hits(), std::memory_order_relaxed);
-  cache_misses_.store(other.cache_misses(), std::memory_order_relaxed);
-  bloom_skips_.store(other.bloom_skips(), std::memory_order_relaxed);
-  write_syscalls_.store(other.write_syscalls(), std::memory_order_relaxed);
-  read_syscalls_.store(other.read_syscalls(), std::memory_order_relaxed);
-  batch_writes_.store(other.batch_writes(), std::memory_order_relaxed);
-  batched_blocks_written_.store(other.batched_blocks_written(),
-                                std::memory_order_relaxed);
-  batch_reads_.store(other.batch_reads(), std::memory_order_relaxed);
-  batched_blocks_read_.store(other.batched_blocks_read(),
-                             std::memory_order_relaxed);
+  for (const Field& f : Fields()) Set(f, other.Get(f));
 }
 
 void IoStats::OverlaySyscallCounters(const IoStats& other) {
-  write_syscalls_.store(other.write_syscalls(), std::memory_order_relaxed);
-  read_syscalls_.store(other.read_syscalls(), std::memory_order_relaxed);
-  batch_writes_.store(other.batch_writes(), std::memory_order_relaxed);
-  batched_blocks_written_.store(other.batched_blocks_written(),
-                                std::memory_order_relaxed);
-  batch_reads_.store(other.batch_reads(), std::memory_order_relaxed);
-  batched_blocks_read_.store(other.batched_blocks_read(),
-                             std::memory_order_relaxed);
+  for (const Field& f : Fields()) {
+    if (f.group == Field::kSyscalls) Set(f, other.Get(f));
+  }
 }
 
 void IoStats::MergeFrom(const IoStats& other) {
-  auto add = [](std::atomic<uint64_t>& c, uint64_t v) {
-    c.fetch_add(v, std::memory_order_relaxed);
-  };
-  add(block_writes_, other.block_writes());
-  add(block_reads_, other.block_reads());
-  add(cached_reads_, other.cached_reads());
-  add(block_frees_, other.block_frees());
-  add(block_allocs_, other.block_allocs());
-  add(cache_hits_, other.cache_hits());
-  add(cache_misses_, other.cache_misses());
-  add(bloom_skips_, other.bloom_skips());
-  add(write_syscalls_, other.write_syscalls());
-  add(read_syscalls_, other.read_syscalls());
-  add(batch_writes_, other.batch_writes());
-  add(batched_blocks_written_, other.batched_blocks_written());
-  add(batch_reads_, other.batch_reads());
-  add(batched_blocks_read_, other.batched_blocks_read());
+  for (const Field& f : Fields()) {
+    (this->*f.cell).fetch_add(other.Get(f), std::memory_order_relaxed);
+  }
 }
 
 void IoStats::Reset() {
-  block_writes_.store(0, std::memory_order_relaxed);
-  block_reads_.store(0, std::memory_order_relaxed);
-  cached_reads_.store(0, std::memory_order_relaxed);
-  block_frees_.store(0, std::memory_order_relaxed);
-  block_allocs_.store(0, std::memory_order_relaxed);
-  cache_hits_.store(0, std::memory_order_relaxed);
-  cache_misses_.store(0, std::memory_order_relaxed);
-  bloom_skips_.store(0, std::memory_order_relaxed);
-  write_syscalls_.store(0, std::memory_order_relaxed);
-  read_syscalls_.store(0, std::memory_order_relaxed);
-  batch_writes_.store(0, std::memory_order_relaxed);
-  batched_blocks_written_.store(0, std::memory_order_relaxed);
-  batch_reads_.store(0, std::memory_order_relaxed);
-  batched_blocks_read_.store(0, std::memory_order_relaxed);
+  for (const Field& f : Fields()) Set(f, 0);
 }
 
 std::string IoStats::ToString() const {
-  std::ostringstream out;
-  out << "writes=" << block_writes() << " reads=" << block_reads()
-      << " cached_reads=" << cached_reads() << " allocs=" << block_allocs()
-      << " frees=" << block_frees();
-  if (cache_hits() > 0 || cache_misses() > 0 || bloom_skips() > 0) {
-    out << " cache_hits=" << cache_hits() << " cache_misses=" << cache_misses()
-        << " bloom_skips=" << bloom_skips();
+  bool shown[3] = {true, false, false};
+  for (const Field& f : Fields()) {
+    if (Get(f) > 0) shown[f.group] = true;
   }
-  if (write_syscalls() > 0 || read_syscalls() > 0 || batch_writes() > 0 ||
-      batch_reads() > 0) {
-    out << " write_syscalls=" << write_syscalls()
-        << " read_syscalls=" << read_syscalls()
-        << " batch_writes=" << batch_writes()
-        << " batched_blocks_written=" << batched_blocks_written()
-        << " batch_reads=" << batch_reads()
-        << " batched_blocks_read=" << batched_blocks_read();
+  std::string out;
+  for (const Field& f : Fields()) {
+    if (!shown[f.group]) continue;
+    if (!out.empty()) out += ' ';
+    out.append(f.name).append("=").append(std::to_string(Get(f)));
   }
-  return out.str();
+  return out;
 }
 
 }  // namespace lsmssd

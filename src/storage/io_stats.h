@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 
 namespace lsmssd {
@@ -80,6 +81,24 @@ class IoStats {
   uint64_t batch_reads() const { return Load(batch_reads_); }
   uint64_t batched_blocks_read() const { return Load(batched_blocks_read_); }
 
+  /// One row per counter, in ToString() order: its ToString() label,
+  /// which prefixed with "io_" is its STATS key. The table is in
+  /// io_stats.cc: a new counter is a member, Record*/accessor and a row.
+  struct Field {
+    /// ToString() prints kBlocks always and each other group only if one
+    /// of its counters is non-zero (keeping the paper-era format).
+    enum Group { kBlocks, kCache, kSyscalls };
+    const char* name;
+    Group group;
+    std::atomic<uint64_t> IoStats::*cell;
+  };
+  static std::span<const Field> Fields();
+
+  uint64_t Get(const Field& f) const { return Load(this->*f.cell); }
+  void Set(const Field& f, uint64_t v) {
+    (this->*f.cell).store(v, std::memory_order_relaxed);
+  }
+
   /// Copies `other`'s syscall/batch counters into this snapshot,
   /// overwriting them. Decorator stacks keep one IoStats per layer and
   /// only the file-backed base device issues syscalls, so a snapshot of
@@ -95,12 +114,8 @@ class IoStats {
 
   void Reset();
 
-  /// "writes=... reads=... cached_reads=... allocs=... frees=..." plus
-  /// "cache_hits=... cache_misses=... bloom_skips=..." when any is
-  /// non-zero (devices without a cache keep the paper-era format), plus
-  /// "write_syscalls=... read_syscalls=... batch_writes=... ..." when any
-  /// syscall/batch counter is non-zero (in-memory devices and single-block
-  /// workloads keep the historical format).
+  /// "writes=... reads=... cached_reads=... allocs=... frees=...", then
+  /// each non-zero optional group (see Field::Group).
   std::string ToString() const;
 
  private:

@@ -197,6 +197,17 @@ TEST_F(DbOptionsFromFlagsTest, BadValuesAreInvalidArgumentNamingTheFlag) {
   }
 }
 
+TEST_F(DbOptionsFromFlagsTest, ShardsAboveTheCapAreRejected) {
+  auto at_cap = Build({"--shards=" + std::to_string(Db::kMaxShards)});
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().message();
+  EXPECT_EQ(at_cap.value().shards, Db::kMaxShards);
+  auto over = Build({"--shards=" + std::to_string(Db::kMaxShards + 1)});
+  ASSERT_FALSE(over.ok());
+  EXPECT_TRUE(over.status().IsInvalidArgument());
+  EXPECT_NE(over.status().message().find("shards"), std::string::npos)
+      << over.status().message();
+}
+
 TEST_F(DbOptionsFromFlagsTest, FailureHasNoFilesystemSideEffects) {
   // A rejected invocation must not create the db directory (the CLI
   // validates flags before Db::Open ever runs; the builder itself is

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/util/crc32c.h"
 #include "src/workload/driver.h"
 #include "tests/test_util.h"
 
@@ -181,6 +182,57 @@ TEST(DbShardedTest, CorruptLayoutFileIsRejected) {
   EXPECT_TRUE(db_or.status().IsCorruption()) << db_or.status().ToString();
 }
 
+/// Writes a checksum-valid SHARDS file carrying `count` verbatim, so only
+/// the count itself can make Open refuse it.
+void WriteLayoutWithCount(const std::string& dir, const std::string& count) {
+  std::filesystem::create_directories(dir);
+  const std::string body =
+      "lsmssd-shards v1\ncount=" + count + "\nhash=fnv1a64\n";
+  std::ofstream out(Db::ShardLayoutPath(dir), std::ios::binary);
+  out << body << "crc="
+      << crc32c::Value(reinterpret_cast<const uint8_t*>(body.data()),
+                       body.size())
+      << "\n";
+}
+
+TEST(DbShardedTest, LayoutCountMustBeAnIntegerWithinTheCap) {
+  // Each count is refused before any shard directory or thread exists.
+  // Without the checks, the overlong count saturated and made Open throw
+  // std::length_error, trailing bytes were ignored ("4abc" opened 4
+  // shards), and a count past the cap made that many directories.
+  const std::string bad[] = {"99999999999999999999999", "4abc", "257",
+                             "-3",                      " 4",   ""};
+  for (const std::string& count : bad) {
+    const std::string dir = FreshDir("badcount");
+    WriteLayoutWithCount(dir, count);
+    auto layout_or = Db::ReadShardLayout(dir);
+    EXPECT_TRUE(layout_or.status().IsCorruption())
+        << "count '" << count << "': " << layout_or.status().ToString();
+    auto db_or = Db::Open(TinyShardedOptions(1), dir);
+    EXPECT_TRUE(db_or.status().IsCorruption())
+        << "count '" << count << "': " << db_or.status().ToString();
+    EXPECT_FALSE(std::filesystem::exists(Db::ShardDirPath(dir, 0)))
+        << "count '" << count << "'";
+    std::filesystem::remove_all(dir);
+  }
+  // The cap itself reads back; it is never opened here.
+  const std::string dir = FreshDir("capcount");
+  WriteLayoutWithCount(dir, std::to_string(Db::kMaxShards));
+  auto layout_or = Db::ReadShardLayout(dir);
+  ASSERT_TRUE(layout_or.ok()) << layout_or.status().ToString();
+  EXPECT_EQ(layout_or.value(), Db::kMaxShards);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DbShardedTest, ShardsAboveTheCapAreRejectedBeforeTouchingDisk) {
+  const std::string dir = FreshDir("overcap");
+  auto db_or = Db::Open(TinyShardedOptions(Db::kMaxShards + 1), dir);
+  EXPECT_TRUE(db_or.status().IsInvalidArgument())
+      << db_or.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  EXPECT_FALSE(std::filesystem::exists(Db::ShardDirPath(dir, 0)));
+}
+
 TEST(DbShardedTest, EveryKeyLivesInExactlyItsHashShard) {
   const std::string dir = FreshDir("routing");
   const DbOptions dbopts = TinyShardedOptions(4);
@@ -292,6 +344,41 @@ TEST(DbShardedTest, StatsAggregateAndMergeAcrossShards) {
   // Single-shard stats keep the historical format (no shards line).
   EXPECT_EQ(db.shard(0)->Stats().ToString().find("shards:"),
             std::string::npos);
+}
+
+TEST(DbShardedTest, StatsSumEveryTableCounterAcrossShards) {
+  const std::string dir = FreshDir("statstable");
+  const DbOptions dbopts = TinyShardedOptions(3);
+  auto db_or = Db::Open(dbopts, dir);
+  ASSERT_TRUE(db_or.ok());
+  Db& db = *db_or.value();
+  for (Key k = 0; k < 600; ++k) {
+    ASSERT_TRUE(db.Put(k, MakePayload(dbopts.options, k)).ok());
+  }
+  for (Key k = 0; k < 600; k += 7) ASSERT_TRUE(db.Get(k).ok());
+  ASSERT_TRUE(db.Checkpoint().ok());
+  ASSERT_TRUE(db.Scrub().ok());
+
+  const DbStats agg = db.Stats();
+  std::vector<DbStats> per_shard;
+  for (size_t s = 0; s < 3; ++s) per_shard.push_back(db.shard(s)->Stats());
+  for (const DbStats::Field& f : DbStats::Fields()) {
+    const std::string name = f.name;
+    if (name == "shards" || name == "arbiter_seals") continue;
+    uint64_t sum = 0;
+    for (const DbStats& s : per_shard) sum += s.*f.member;
+    EXPECT_EQ(agg.*f.member, sum) << name;
+  }
+  for (const IoStats::Field& f : IoStats::Fields()) {
+    uint64_t sum = 0;
+    for (const DbStats& s : per_shard) sum += s.io.Get(f);
+    EXPECT_EQ(agg.io.Get(f), sum) << f.name;
+  }
+  EXPECT_EQ(agg.shards, 3u);
+  EXPECT_GT(agg.wal_entries_appended, 0u);
+  EXPECT_GT(agg.scrub_blocks_verified, 0u);
+  EXPECT_GT(agg.io.block_writes(), 0u);
+  EXPECT_GT(agg.io.block_reads(), 0u);
 }
 
 TEST(DbShardedTest, MemoryArbiterSealsLargestShardUnderPressure) {

@@ -19,8 +19,10 @@
 #include <ctime>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -229,9 +231,9 @@ TEST(ServerTest, PutGetDeleteScanStatsEndToEnd) {
   auto stats = client->Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->payload_size, options.payload_size);
-  EXPECT_EQ(stats->shards, 1u);
+  EXPECT_EQ(stats->db.shards, 1u);
   EXPECT_EQ(stats->quarantined_blocks, 0u);
-  EXPECT_GT(stats->frames_processed, 30u);
+  EXPECT_GT(stats->server.frames_processed, 30u);
   EXPECT_FALSE(stats->text.empty());
 }
 
@@ -628,9 +630,9 @@ TEST(ServerTest, OverloadShedsInOrderInsteadOfQueueingUnbounded) {
   // The shed counters travel the wire in the stats dump.
   auto stats = client->Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->frames_shed_overload, 2u);
-  EXPECT_EQ(stats->frames_rejected_shutdown, 0u);
-  EXPECT_EQ(stats->connections_dropped_slow, 0u);
+  EXPECT_EQ(stats->server.frames_shed_overload, 2u);
+  EXPECT_EQ(stats->server.frames_rejected_shutdown, 0u);
+  EXPECT_EQ(stats->server.connections_dropped_slow, 0u);
 }
 
 TEST(ServerTest, HealthProbesAdmittedWhileOverloadShedsWrites) {
@@ -1138,8 +1140,8 @@ TEST(ServerTest, PacedRequestsAreMostlyCaughtWhilePolling) {
   auto stats = client->Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   const ServerCounters now = fx.server->counters();
-  EXPECT_GE(stats->polls_caught_spinning, caught);
-  EXPECT_LE(stats->polls_caught_spinning, now.polls_caught_spinning);
+  EXPECT_GE(stats->server.polls_caught_spinning, caught);
+  EXPECT_LE(stats->server.polls_caught_spinning, now.polls_caught_spinning);
 }
 
 TEST(ServerTest, IdleServerParksAfterItsLastEvent) {
@@ -1157,8 +1159,8 @@ TEST(ServerTest, IdleServerParksAfterItsLastEvent) {
       << " us of CPU while idle";
   auto stats = client->Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_GE(stats->polls_parked, 1u);
-  EXPECT_LE(stats->polls_parked, fx.server->counters().polls_parked);
+  EXPECT_GE(stats->server.polls_parked, 1u);
+  EXPECT_LE(stats->server.polls_parked, fx.server->counters().polls_parked);
 }
 
 TEST(ServerTest, StopWhileTheLeaderPollsReturnsPromptly) {
@@ -1180,6 +1182,89 @@ TEST(ServerTest, StopWhileTheLeaderPollsReturnsPromptly) {
     const auto elapsed = std::chrono::steady_clock::now() - start;
     EXPECT_LT(elapsed, std::chrono::milliseconds(500)) << "round " << round;
   }
+}
+
+TEST(ServerTest, StatsCarriesEveryCounterOfEveryTable) {
+  // On a quiesced server, every DbStats scalar, IoStats counter and
+  // ServerCounters field read over STATS equals the in-process value.
+  DbOptions dbopts = TinyDbOptions();
+  dbopts.shards = 2;
+  dbopts.background_compaction = true;
+  ServerFixture fx("statstables", dbopts);
+  const Options& options = fx.db->options();
+  auto client = fx.Connect();
+  for (Key k = 1; k <= 400; ++k) {
+    ASSERT_TRUE(client->Put(k, Payload(options, k)).ok());
+  }
+  for (Key k = 1; k <= 400; k += 9) ASSERT_TRUE(client->Get(k).ok());
+  ASSERT_TRUE(fx.db->WaitForCompaction().ok());
+  ASSERT_TRUE(fx.db->Checkpoint().ok());
+  ASSERT_TRUE(fx.db->Scrub().ok());
+
+  const ServerCounters before = fx.server->counters();
+  auto stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const ServerCounters after = fx.server->counters();
+  const DbStats db = fx.db->Stats();
+
+  for (const DbStats::Field& f : DbStats::Fields()) {
+    EXPECT_EQ(stats->db.*f.member, db.*f.member) << f.name;
+  }
+  for (const IoStats::Field& f : IoStats::Fields()) {
+    EXPECT_EQ(stats->db.io.Get(f), db.io.Get(f)) << f.name;
+  }
+  for (const ServerCounters::Field& f : ServerCounters::Fields()) {
+    const std::string name = f.name;
+    if (name == "polls_caught_spinning" || name == "polls_parked") {
+      // The I/O role keeps polling and parking while the reply is built.
+      EXPECT_GE(stats->server.*f.member, before.*f.member) << name;
+      EXPECT_LE(stats->server.*f.member, after.*f.member) << name;
+    } else {
+      EXPECT_EQ(stats->server.*f.member, after.*f.member) << name;
+    }
+  }
+  EXPECT_EQ(stats->payload_size, options.payload_size);
+  EXPECT_EQ(stats->quarantined_blocks, db.quarantined_blocks.size());
+  // Non-trivial values, so the equalities above compare real counts.
+  EXPECT_EQ(db.shards, 2u);
+  EXPECT_GT(db.memtables_sealed, 0u);
+  EXPECT_GT(db.scrub_blocks_verified, 0u);
+  EXPECT_GT(db.io.block_writes(), 0u);
+  EXPECT_GT(after.frames_processed, 400u);
+
+  // The parseable section: one line per key, no key twice, and the keys
+  // STATS carried before the tables keep their names and meanings.
+  std::map<std::string, uint64_t> keys;
+  size_t lines = 0;
+  std::istringstream in(stats->text);
+  for (std::string line; std::getline(in, line) && !line.empty(); ++lines) {
+    const size_t sp = line.find(' ');
+    ASSERT_NE(sp, std::string::npos) << line;
+    keys[line.substr(0, sp)] = std::stoull(line.substr(sp + 1));
+  }
+  EXPECT_EQ(keys.size(), lines) << "duplicate STATS key";
+  EXPECT_EQ(lines, 2 + ServerCounters::Fields().size() +
+                       DbStats::Fields().size() + IoStats::Fields().size());
+  EXPECT_EQ(keys.at("payload_size"), options.payload_size);
+  EXPECT_EQ(keys.at("shards"), db.shards);
+  EXPECT_EQ(keys.at("checkpoints"), db.checkpoints);
+  EXPECT_EQ(keys.at("memtables_sealed"), db.memtables_sealed);
+  EXPECT_EQ(keys.at("stall_events"), db.stall_events);
+  EXPECT_EQ(keys.at("quarantined_blocks"), db.quarantined_blocks.size());
+  EXPECT_EQ(keys.at("scrub_corruptions"), db.scrub_corruptions_found);
+  EXPECT_EQ(keys.at("scrub_blocks_verified"), db.scrub_blocks_verified);
+  EXPECT_EQ(keys.at("frames_processed"), after.frames_processed);
+  EXPECT_EQ(keys.at("connections_dropped"),
+            after.connections_dropped_malformed);
+  EXPECT_EQ(keys.at("frames_shed_overload"), after.frames_shed_overload);
+  EXPECT_EQ(keys.at("frames_rejected_shutdown"),
+            after.frames_rejected_shutdown);
+  EXPECT_EQ(keys.at("connections_dropped_slow"),
+            after.connections_dropped_slow);
+  EXPECT_GE(keys.at("polls_caught_spinning"), before.polls_caught_spinning);
+  EXPECT_GE(keys.at("polls_parked"), before.polls_parked);
+  // I/O counters travel under the "io_" prefix.
+  EXPECT_EQ(keys.at("io_writes"), db.io.block_writes());
 }
 
 }  // namespace
