@@ -621,7 +621,7 @@ Status Db::ApplyLocked(const Record& in, std::unique_lock<std::mutex>& lk) {
   // op that must be refused — compaction wedged on a full device — is
   // refused before it is logged.
   if (dbopts_.background_compaction) {
-    LSMSSD_RETURN_IF_ERROR(MaybeSealOrStallLocked(lk));
+    LSMSSD_RETURN_IF_ERROR(MaybeSealOrStallLocked());
     if (failed()) return FailedStatus();
   }
 
@@ -830,7 +830,7 @@ Status Db::ForceSyncAllLocked(std::unique_lock<std::mutex>& lk) {
   }
 }
 
-Status Db::MaybeSealOrStallLocked(std::unique_lock<std::mutex>& lk) {
+Status Db::MaybeSealOrStallLocked() {
   using Clock = std::chrono::steady_clock;
   const auto micros_since = [](Clock::time_point t0) {
     return static_cast<uint64_t>(

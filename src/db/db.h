@@ -459,12 +459,13 @@ class Db {
   // ---- Background compaction (see DESIGN.md, "Compaction scheduling
   // & write stalls") -----------------------------------------------------
 
-  /// Write-path gate, called with db_mu_ held before the WAL append:
+  /// Write-path gate, called with db_mu_ held (the caller's lock; this
+  /// takes comp_mu_ itself) before the WAL append:
   /// applies the soft throttle, and when the active memtable is full,
   /// seals it onto the queue — stalling first if the queue is at
   /// compaction_queue_depth — and kicks the worker. Returns the worker's
   /// sticky error (without applying the op) when compaction is wedged.
-  Status MaybeSealOrStallLocked(std::unique_lock<std::mutex>& lk);
+  Status MaybeSealOrStallLocked();
 
   /// Seals the active memtable onto the compaction queue: publishes the
   /// memory accounting, bumps the queue depth and seal count, and kicks

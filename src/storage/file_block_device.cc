@@ -38,19 +38,24 @@ Status ErrnoStatus(const std::string& what, int err) {
   return Status::IoError(std::move(msg));
 }
 
+// The *Fully helpers below take `what`, a callable returning the error
+// text's prefix. It is called only on failure, so a successful block read
+// or write builds no string.
+
 /// pwrite that retries EINTR and continues short writes until `n` bytes
 /// land. A zero-progress write (possible when the filesystem runs out of
 /// space mid-transfer) is reported as ENOSPC rather than looping forever.
+template <typename What>
 Status PwriteFully(int fd, const uint8_t* buf, size_t n, off_t off,
-                   const std::string& what) {
+                   const What& what) {
   size_t done = 0;
   while (done < n) {
     ssize_t r = ::pwrite(fd, buf + done, n - done, off + done);
     if (r < 0) {
       if (errno == EINTR) continue;
-      return ErrnoStatus(what, errno);
+      return ErrnoStatus(what(), errno);
     }
-    if (r == 0) return ErrnoStatus(what + " (no progress)", ENOSPC);
+    if (r == 0) return ErrnoStatus(what() + " (no progress)", ENOSPC);
     done += static_cast<size_t>(r);
   }
   return Status::OK();
@@ -59,17 +64,18 @@ Status PwriteFully(int fd, const uint8_t* buf, size_t n, off_t off,
 /// pread that retries EINTR and continues short reads until `n` bytes
 /// arrive. Hitting EOF early means the file is shorter than the slot
 /// layout requires — corruption of the backing store, not a syscall error.
+template <typename What>
 Status PreadFully(int fd, uint8_t* buf, size_t n, off_t off,
-                  const std::string& what) {
+                  const What& what) {
   size_t done = 0;
   while (done < n) {
     ssize_t r = ::pread(fd, buf + done, n - done, off + done);
     if (r < 0) {
       if (errno == EINTR) continue;
-      return ErrnoStatus(what, errno);
+      return ErrnoStatus(what(), errno);
     }
     if (r == 0) {
-      return Status::Corruption(what + ": short read (" +
+      return Status::Corruption(what() + ": short read (" +
                                 std::to_string(done) + " of " +
                                 std::to_string(n) + " bytes)");
     }
@@ -81,16 +87,17 @@ Status PreadFully(int fd, uint8_t* buf, size_t n, off_t off,
 /// pwritev over `iov` that retries EINTR and resumes short writes by
 /// advancing past fully-written entries and trimming the partial one.
 /// Mutates `iov` on resume (callers pass scratch).
+template <typename What>
 Status PwritevFully(int fd, struct iovec* iov, size_t iovcnt, off_t off,
-                    const std::string& what) {
+                    const What& what) {
   size_t idx = 0;
   while (idx < iovcnt) {
     ssize_t r = ::pwritev(fd, iov + idx, static_cast<int>(iovcnt - idx), off);
     if (r < 0) {
       if (errno == EINTR) continue;
-      return ErrnoStatus(what, errno);
+      return ErrnoStatus(what(), errno);
     }
-    if (r == 0) return ErrnoStatus(what + " (no progress)", ENOSPC);
+    if (r == 0) return ErrnoStatus(what() + " (no progress)", ENOSPC);
     size_t left = static_cast<size_t>(r);
     off += static_cast<off_t>(left);
     while (idx < iovcnt && left >= iov[idx].iov_len) {
@@ -107,16 +114,17 @@ Status PwritevFully(int fd, struct iovec* iov, size_t iovcnt, off_t off,
 
 /// preadv counterpart of PwritevFully; an early EOF is Corruption, as in
 /// PreadFully.
+template <typename What>
 Status PreadvFully(int fd, struct iovec* iov, size_t iovcnt, off_t off,
-                   const std::string& what) {
+                   const What& what) {
   size_t idx = 0;
   while (idx < iovcnt) {
     ssize_t r = ::preadv(fd, iov + idx, static_cast<int>(iovcnt - idx), off);
     if (r < 0) {
       if (errno == EINTR) continue;
-      return ErrnoStatus(what, errno);
+      return ErrnoStatus(what(), errno);
     }
-    if (r == 0) return Status::Corruption(what + ": short read");
+    if (r == 0) return Status::Corruption(what() + ": short read");
     size_t left = static_cast<size_t>(r);
     off += static_cast<off_t>(left);
     while (idx < iovcnt && left >= iov[idx].iov_len) {
@@ -186,7 +194,8 @@ StatusOr<std::unique_ptr<FileBlockDevice>> FileBlockDevice::Open(
     if (slots > 0) {
       std::vector<uint8_t> raw(slots * 4);
       LSMSSD_RETURN_IF_ERROR(
-          PreadFully(crc_fd, raw.data(), raw.size(), 0, "pread " + crc_path));
+          PreadFully(crc_fd, raw.data(), raw.size(), 0,
+                     [&] { return "pread " + crc_path; }));
       for (uint64_t s = 0; s < slots; ++s) {
         dev->crcs_[s] = DecodeCrc(raw.data() + s * 4);
       }
@@ -217,8 +226,10 @@ Status FileBlockDevice::WriteCrcFile(BlockId slot, uint32_t crc) {
   EncodeCrc(crc, raw);
   LSMSSD_RETURN_IF_ERROR(PwriteFully(crc_fd_, raw, sizeof(raw),
                                      static_cast<off_t>(slot) * 4,
-                                     "pwrite crc for block " +
-                                         std::to_string(slot)));
+                                     [slot] {
+                                       return "pwrite crc for block " +
+                                              std::to_string(slot);
+                                     }));
   stats_.RecordWriteSyscall();
   return Status::OK();
 }
@@ -255,7 +266,9 @@ StatusOr<BlockId> FileBlockDevice::WriteNewBlock(const BlockData& data) {
       static_cast<off_t>(slot) * static_cast<off_t>(options_.block_size);
   const uint32_t crc = crc32c::Value(padded.data(), padded.size());
   Status st = PwriteFully(fd_, padded.data(), padded.size(), offset,
-                          "pwrite block " + std::to_string(slot));
+                          [slot] {
+                            return "pwrite block " + std::to_string(slot);
+                          });
   if (st.ok()) {
     stats_.RecordWriteSyscall();
     st = WriteCrcFile(slot, crc);
@@ -345,8 +358,11 @@ Status FileBlockDevice::WriteBlocks(const std::vector<BlockData>& blocks,
     const off_t offset = static_cast<off_t>(slots[begin]) *
                          static_cast<off_t>(options_.block_size);
     st = PwritevFully(fd_, iov.data(), iov.size(), offset,
-                      "pwritev blocks " + std::to_string(slots[begin]) + ".." +
-                          std::to_string(slots[end - 1]));
+                      [&] {
+                        return "pwritev blocks " +
+                               std::to_string(slots[begin]) + ".." +
+                               std::to_string(slots[end - 1]);
+                      });
     if (st.ok()) {
       stats_.RecordWriteSyscall();
       std::vector<uint8_t> packed((end - begin) * 4);
@@ -355,8 +371,10 @@ Status FileBlockDevice::WriteBlocks(const std::vector<BlockData>& blocks,
       }
       st = PwriteFully(crc_fd_, packed.data(), packed.size(),
                        static_cast<off_t>(slots[begin]) * 4,
-                       "pwrite crc run at block " +
-                           std::to_string(slots[begin]));
+                       [&] {
+                         return "pwrite crc run at block " +
+                                std::to_string(slots[begin]);
+                       });
       if (st.ok()) stats_.RecordWriteSyscall();
     }
     begin = end;
@@ -399,7 +417,10 @@ Status FileBlockDevice::ReadAttempt(BlockId id, BlockData* out, bool verify,
     }
   }
   LSMSSD_RETURN_IF_ERROR(PreadFully(fd_, out->data(), out->size(), offset,
-                                    "pread block " + std::to_string(id)));
+                                    [id] {
+                                      return "pread block " +
+                                             std::to_string(id);
+                                    }));
   stats_.RecordReadSyscall();
   if (verify && crc32c::Value(out->data(), out->size()) != expected_crc) {
     return Status::Corruption("checksum mismatch on block " +
@@ -476,8 +497,11 @@ Status FileBlockDevice::ReadBlocks(const std::vector<BlockId>& ids,
     const off_t offset = static_cast<off_t>(ids[begin]) *
                          static_cast<off_t>(options_.block_size);
     Status st = PreadvFully(fd_, iov.data(), iov.size(), offset,
-                            "preadv blocks " + std::to_string(ids[begin]) +
-                                ".." + std::to_string(ids[end - 1]));
+                            [&] {
+                              return "preadv blocks " +
+                                     std::to_string(ids[begin]) + ".." +
+                                     std::to_string(ids[end - 1]);
+                            });
     if (st.ok()) {
       stats_.RecordReadSyscall();
       for (size_t i = begin; i < end; ++i) {
@@ -525,7 +549,9 @@ Status FileBlockDevice::CorruptBlockForTesting(BlockId id,
   // Data only — the sidecar keeps the original checksum, as silent media
   // corruption would.
   return PwriteFully(fd_, padded.data(), padded.size(), offset,
-                     "pwrite (corrupt) block " + std::to_string(id));
+                     [id] {
+                       return "pwrite (corrupt) block " + std::to_string(id);
+                     });
 }
 
 Status FileBlockDevice::ReadBlockUnverifiedForTesting(BlockId id,

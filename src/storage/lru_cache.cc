@@ -6,7 +6,10 @@
 
 namespace lsmssd {
 
-LruCache::LruCache(size_t capacity_blocks) : capacity_(capacity_blocks) {}
+LruCache::LruCache(size_t capacity_blocks)
+    : capacity_(capacity_blocks),
+      protected_cap_(static_cast<size_t>(
+          static_cast<double>(capacity_blocks) * kProtectedShare)) {}
 
 std::shared_ptr<const BlockData> LruCache::Get(BlockId id) {
   // A disabled cache (capacity 0) is "no cache", not a cache that always
@@ -20,8 +23,21 @@ std::shared_ptr<const BlockData> LruCache::Get(BlockId id) {
     return nullptr;
   }
   ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);  // Move to front.
-  return it->second->data;
+  const EntryList::iterator e = it->second;
+  if (e->in_protected) {
+    protected_.splice(protected_.begin(), protected_, e);
+    return e->data;
+  }
+  // First re-use since it entered the cache: promote, and demote
+  // protected's least recently used entry if that overfills it.
+  e->in_protected = true;
+  protected_.splice(protected_.begin(), probation_, e);
+  if (protected_.size() > protected_cap_) {
+    const EntryList::iterator demoted = std::prev(protected_.end());
+    demoted->in_protected = false;
+    probation_.splice(probation_.begin(), protected_, demoted);
+  }
+  return e->data;
 }
 
 void LruCache::Put(BlockId id, BlockData data) {
@@ -33,12 +49,14 @@ void LruCache::Put(BlockId id, std::shared_ptr<const BlockData> data) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(id);
   if (it != map_.end()) {
-    it->second->data = std::move(data);
-    lru_.splice(lru_.begin(), lru_, it->second);
+    const EntryList::iterator e = it->second;
+    e->data = std::move(data);
+    EntryList& segment = SegmentOf(*e);
+    segment.splice(segment.begin(), segment, e);
     return;
   }
-  lru_.push_front(Entry{id, std::move(data), /*pinned=*/false});
-  map_.emplace(id, lru_.begin());
+  probation_.push_front(Entry{id, std::move(data)});
+  map_.emplace(id, probation_.begin());
   EvictIfNeeded();
 }
 
@@ -46,7 +64,7 @@ void LruCache::Erase(BlockId id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(id);
   if (it == map_.end()) return;
-  lru_.erase(it->second);
+  SegmentOf(*it->second).erase(it->second);
   map_.erase(it);
 }
 
@@ -67,7 +85,8 @@ void LruCache::Unpin(BlockId id) {
 
 void LruCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
+  probation_.clear();
+  protected_.clear();
   map_.clear();
   // A cleared cache starts a fresh accounting epoch; stale hit/miss tallies
   // must not leak into post-Clear() hit rates.
@@ -76,25 +95,14 @@ void LruCache::Clear() {
 }
 
 void LruCache::EvictIfNeeded() {
-  while (map_.size() > capacity_) {
-    // Scan from the back (least recently used) for an unpinned victim.
-    auto victim = lru_.end();
-    for (auto rit = lru_.rbegin(); rit != lru_.rend(); ++rit) {
-      if (!rit->pinned) {
-        victim = std::prev(rit.base());
-        break;
-      }
-    }
-    if (victim == lru_.end()) {
-      // Everything pinned: give up on shrinking; drop the newest unpinned
-      // insert instead (it is at the front and unpinned by construction,
-      // unless the caller pinned it already — then we simply stay over
-      // capacity until something is unpinned).
-      return;
-    }
-    map_.erase(victim->id);
-    lru_.erase(victim);
-  }
+  if (map_.size() <= capacity_) return;
+  // Put just added an unpinned entry to probation, so probation always
+  // holds a victim: protected entries are only ever demoted, never
+  // evicted, and pins at worst make the new entry its own victim.
+  auto victim = probation_.rbegin();
+  while (victim->pinned) ++victim;
+  map_.erase(victim->id);
+  probation_.erase(std::prev(victim.base()));
 }
 
 CachedBlockDevice::CachedBlockDevice(BlockDevice* base,

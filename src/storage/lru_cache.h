@@ -12,14 +12,26 @@
 
 namespace lsmssd {
 
-/// Block-granular LRU cache with pin support. Mirrors the paper's setup
-/// (Section V): in addition to the memory-resident L0, an LRU buffer cache
-/// holds data blocks; for partial-merge policies the internal index is
-/// pinned (we keep leaf directories in memory outright, so pinning here is
-/// only exercised by tests and by callers caching hot data blocks).
+/// Block-granular segmented LRU (SLRU) cache with pin support. Mirrors the
+/// paper's setup (Section V): in addition to the memory-resident L0, a
+/// buffer cache holds data blocks; for partial-merge policies the internal
+/// index is pinned (we keep leaf directories in memory outright, so pinning
+/// here is only exercised by tests and by callers caching hot data blocks).
 ///
-/// Thread-safe: every operation (including a Get, which reorders the LRU
-/// list) runs under an internal mutex, so concurrent Db readers holding
+/// Entries live in one of two LRU lists:
+///  - probation: every new entry, whether a write-through block or a fill
+///    after a miss;
+///  - protected: entries hit at least once since they entered the cache,
+///    capped at kProtectedShare of the capacity.
+/// A hit in probation moves the entry to the head of protected; if that
+/// overfills protected, protected's tail is demoted to the head of
+/// probation (not evicted). Eviction takes probation's least recently used
+/// unpinned entry, so a stream of one-touch fills (a scan, a merge's
+/// write-through output) cannot push out blocks that have been re-read.
+/// Within each segment the order is LRU, hence the name.
+///
+/// Thread-safe: every operation (including a Get, which reorders the
+/// lists) runs under an internal mutex, so concurrent Db readers holding
 /// the tree's shared lock may hit the cache simultaneously.
 class LruCache {
  public:
@@ -29,20 +41,27 @@ class LruCache {
   LruCache(const LruCache&) = delete;
   LruCache& operator=(const LruCache&) = delete;
 
-  /// Returns the cached contents of `id`, or nullptr on miss. A hit marks
-  /// the entry most-recently-used.
+  /// Share of the capacity the protected segment may hold: the usual SLRU
+  /// split (Caffeine's main region uses the same 80%).
+  static constexpr double kProtectedShare = 0.8;
+
+  /// Returns the cached contents of `id`, or nullptr on miss. A hit moves
+  /// the entry to the head of the protected segment.
   std::shared_ptr<const BlockData> Get(BlockId id);
 
-  /// Inserts (or refreshes) `id`. Evicts least-recently-used unpinned
-  /// entries as needed. If everything is pinned and the cache is full, the
-  /// insert is skipped (cache stays consistent, caller unaffected).
+  /// Inserts `id` at the head of probation and, if the cache is then over
+  /// capacity, evicts probation's least recently used unpinned entry (the
+  /// new entry itself when every older one there is pinned). Putting an id
+  /// already cached replaces its data and moves it to the head of its own
+  /// segment; that is not a hit and does not promote it.
   void Put(BlockId id, BlockData data);
 
   /// Same, but adopts an already-shared block image without copying it
   /// (the zero-copy read path inserts device images directly).
   void Put(BlockId id, std::shared_ptr<const BlockData> data);
 
-  /// Drops `id` if present (pinned or not). Called when a block is freed.
+  /// Drops `id` if present (pinned or not), from either segment. Called
+  /// when a block is freed.
   void Erase(BlockId id);
 
   /// Pins `id` so it cannot be evicted; no-op if absent. Returns true if
@@ -61,6 +80,12 @@ class LruCache {
     return map_.size();
   }
   size_t capacity() const { return capacity_; }
+  /// Entries currently in the protected segment (at most protected_cap()).
+  size_t protected_size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return protected_.size();
+  }
+  size_t protected_cap() const { return protected_cap_; }
   uint64_t hits() const {
     std::lock_guard<std::mutex> lock(mu_);
     return hits_;
@@ -75,14 +100,22 @@ class LruCache {
     BlockId id;
     std::shared_ptr<const BlockData> data;
     bool pinned = false;
+    bool in_protected = false;
   };
   using EntryList = std::list<Entry>;
 
-  void EvictIfNeeded();  // Requires mu_ held.
+  // Both require mu_ held.
+  EntryList& SegmentOf(const Entry& e) {
+    return e.in_protected ? protected_ : probation_;
+  }
+  void EvictIfNeeded();
 
   mutable std::mutex mu_;
   const size_t capacity_;
-  EntryList lru_;  // Front = most recently used.
+  const size_t protected_cap_;
+  // Front = most recently used within the segment.
+  EntryList probation_;
+  EntryList protected_;
   std::unordered_map<BlockId, EntryList::iterator> map_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

@@ -1,9 +1,10 @@
 #include "src/util/crc32c.h"
 
-#include <array>
+#include <cstring>
 
-#if defined(__SSE4_2__)
+#if defined(__x86_64__)
 #include <nmmintrin.h>
+#define LSMSSD_CRC32C_X86 1
 #endif
 
 namespace lsmssd {
@@ -46,19 +47,22 @@ inline uint32_t Load32(const uint8_t* p) {
          (static_cast<uint32_t>(p[3]) << 24);
 }
 
-}  // namespace
-
-uint32_t Extend(uint32_t crc, const uint8_t* data, size_t n) {
+#if defined(LSMSSD_CRC32C_X86)
+// Compiled for SSE4.2 whatever the build's -m flags, and only ever called
+// after HasHardwareSupport() said the CPU has the instruction.
+__attribute__((target("sse4.2"))) uint32_t ExtendSse42(uint32_t crc,
+                                                       const uint8_t* data,
+                                                       size_t n) {
   crc = ~crc;
-#if defined(__SSE4_2__)
-  // Hardware path: align to 8 bytes, then crc 8 bytes per instruction.
+  // Align to 8 bytes, then crc 8 bytes per instruction.
   while (n > 0 && (reinterpret_cast<uintptr_t>(data) & 7) != 0) {
     crc = _mm_crc32_u8(crc, *data++);
     --n;
   }
   while (n >= 8) {
-    crc = static_cast<uint32_t>(_mm_crc32_u64(
-        crc, *reinterpret_cast<const uint64_t*>(data)));
+    uint64_t word;
+    std::memcpy(&word, data, sizeof(word));
+    crc = static_cast<uint32_t>(_mm_crc32_u64(crc, word));
     data += 8;
     n -= 8;
   }
@@ -66,7 +70,23 @@ uint32_t Extend(uint32_t crc, const uint8_t* data, size_t n) {
     crc = _mm_crc32_u8(crc, *data++);
     --n;
   }
-#else
+  return ~crc;
+}
+#endif
+
+using ExtendFn = uint32_t (*)(uint32_t, const uint8_t*, size_t);
+
+ExtendFn ChooseExtend() {
+#if defined(LSMSSD_CRC32C_X86)
+  if (HasHardwareSupport()) return ExtendSse42;
+#endif
+  return ExtendPortable;
+}
+
+}  // namespace
+
+uint32_t ExtendPortable(uint32_t crc, const uint8_t* data, size_t n) {
+  crc = ~crc;
   const Tables& tb = tables();
   while (n >= 8) {
     uint32_t lo = Load32(data) ^ crc;
@@ -82,8 +102,30 @@ uint32_t Extend(uint32_t crc, const uint8_t* data, size_t n) {
     crc = tb.t[0][(crc ^ *data++) & 0xFF] ^ (crc >> 8);
     --n;
   }
-#endif
   return ~crc;
+}
+
+bool HasHardwareSupport() {
+#if defined(LSMSSD_CRC32C_X86)
+  // Idempotent; makes the check safe even from another static
+  // initializer, before libgcc's own constructor has run.
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2");
+#else
+  return false;
+#endif
+}
+
+uint32_t ExtendHardware(uint32_t crc, const uint8_t* data, size_t n) {
+#if defined(LSMSSD_CRC32C_X86)
+  if (HasHardwareSupport()) return ExtendSse42(crc, data, n);
+#endif
+  return ExtendPortable(crc, data, n);
+}
+
+uint32_t Extend(uint32_t crc, const uint8_t* data, size_t n) {
+  static const ExtendFn kExtend = ChooseExtend();
+  return kExtend(crc, data, n);
 }
 
 }  // namespace crc32c

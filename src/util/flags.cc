@@ -14,7 +14,7 @@ StatusOr<FlagMap> ParseFlagArgs(int argc, char** argv, int first) {
     }
     const size_t eq = arg.find('=');
     if (eq == std::string::npos) {
-      flags[arg.substr(2)] = "1";
+      flags[arg.substr(2)] = std::string("1");
     } else if (eq <= 2) {
       return Status::InvalidArgument("flag has no name: " + arg);
     } else {

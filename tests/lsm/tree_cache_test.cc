@@ -6,6 +6,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "src/lsm/lsm_tree.h"
 #include "tests/test_util.h"
@@ -98,6 +99,37 @@ TEST(TreeCacheTest, WriteCountsUnchangedByCache) {
             with_cache.device.stats().block_allocs());
   EXPECT_EQ(with_cache.tree->device()->stats().block_frees(),
             with_cache.device.stats().block_frees());
+}
+
+TEST(TreeCacheTest, ReReadHotBlocksSurviveMergeWriteThrough) {
+  // Merge resistance: blocks read twice sit in the cache's protected
+  // segment, so a merge writing more than `capacity` new blocks
+  // write-through (each a one-touch probation entry) does not evict them.
+  Options options = TinyOptions();
+  options.cache_blocks = 32;
+  TreeFixture fx(options, PolicyKind::kChooseBest);
+  for (Key k = 1; k <= 600; ++k) ASSERT_TRUE(fx.Put(k).ok());
+  ASSERT_GT(fx.tree->num_levels(), 2u);
+
+  const std::vector<Key> hot = {50, 150, 250, 350, 450};
+  for (int pass = 0; pass < 2; ++pass) {
+    for (Key k : hot) ASSERT_TRUE(fx.tree->Get(k).ok());
+  }
+  const IoStats& stats = fx.tree->device()->stats();
+  const uint64_t writes0 = stats.block_writes();
+
+  // New keys far above the hot ones, so merges rewrite only their own
+  // range, until the merges have written three cachefuls of blocks.
+  Key next = 1'000'000;
+  while (stats.block_writes() - writes0 <= 3 * options.cache_blocks) {
+    ASSERT_TRUE(fx.Put(next++).ok());
+  }
+  const uint64_t misses = stats.cache_misses();
+  const uint64_t hits = stats.cache_hits();
+  for (Key k : hot) ASSERT_TRUE(fx.tree->Get(k).ok());
+  EXPECT_EQ(stats.cache_misses(), misses);
+  // Under a plain LRU every one of these reads misses.
+  EXPECT_GE(stats.cache_hits() - hits, hot.size());
 }
 
 TEST(TreeCacheTest, MergeFreesInvalidateCachedBlocks) {

@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "src/util/random.h"
+
 #include <gtest/gtest.h>
 
 namespace lsmssd::crc32c {
@@ -68,6 +70,44 @@ TEST(Crc32cTest, UnalignedStartsAgree) {
     EXPECT_EQ(Value(backing.data() + off, 64), want) << "offset " << off;
     std::memmove(backing.data(), backing.data() + off, 64);
   }
+}
+
+TEST(Crc32cTest, KnownVectorsOnBothPaths) {
+  const std::string check = "123456789";
+  const auto* p = reinterpret_cast<const uint8_t*>(check.data());
+  EXPECT_EQ(ExtendPortable(0, p, check.size()), 0xE3069283u);
+  EXPECT_EQ(ExtendHardware(0, p, check.size()), 0xE3069283u);
+  std::vector<uint8_t> incr(32);
+  for (size_t i = 0; i < incr.size(); ++i) incr[i] = static_cast<uint8_t>(i);
+  EXPECT_EQ(ExtendPortable(0, incr.data(), incr.size()), 0x46DD794Eu);
+  EXPECT_EQ(ExtendHardware(0, incr.data(), incr.size()), 0x46DD794Eu);
+}
+
+TEST(Crc32cTest, HardwareAndPortablePathsAgree) {
+  // Every length 0..4096 at each of the 8 start misalignments, over seeded
+  // random bytes and a seeded random starting CRC.
+  if (!HasHardwareSupport()) {
+    GTEST_SKIP() << "CPU lacks SSE4.2: ExtendHardware is the portable path";
+  }
+  constexpr size_t kMaxLen = 4096;
+  Random rng(2024);
+  std::vector<uint8_t> backing(kMaxLen + 16);
+  for (uint8_t& b : backing) b = static_cast<uint8_t>(rng.Next());
+  // Align the base so that `off` really is the misalignment.
+  uint8_t* base = backing.data();
+  base += (8 - reinterpret_cast<uintptr_t>(base) % 8) % 8;
+  size_t mismatches = 0;
+  for (size_t off = 0; off < 8; ++off) {
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const uint32_t seed = static_cast<uint32_t>(rng.Next());
+      if (ExtendHardware(seed, base + off, len) !=
+          ExtendPortable(seed, base + off, len)) {
+        ADD_FAILURE() << "offset " << off << " length " << len;
+        if (++mismatches > 10) return;
+      }
+    }
+  }
+  EXPECT_EQ(Extend(0, base, kMaxLen), ExtendPortable(0, base, kMaxLen));
 }
 
 }  // namespace
